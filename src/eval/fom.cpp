@@ -97,7 +97,8 @@ LatencyResult measure_worst_latency(TcamDesign design, const FomOptions& opts) {
   base_pattern(opts.n_bits, stored, query);
   inject_mismatch(stored, query, 1);
   tcam::SearchConfig cfg2{stored, query, out.sized_timing, 2};
-  const auto m2 = tcam::measure_search(design, wopts, cfg2);
+  out.step2 = tcam::measure_search(design, wopts, cfg2);
+  const auto& m2 = out.step2;
   if (!m2.ok || !m2.latency.has_value()) {
     out.error = m2.ok ? "no SA transition in step-2 latency probe" : m2.error;
     return out;
@@ -107,9 +108,13 @@ LatencyResult measure_worst_latency(TcamDesign design, const FomOptions& opts) {
   return out;
 }
 
-SearchEnergyResult measure_search_energy(TcamDesign design,
-                                         const FomOptions& opts,
-                                         const tcam::SearchTiming& timing) {
+namespace {
+
+/// measure_search_energy body; `step2`, when non-null, is an already
+/// simulated step-2 scenario at `timing` (see LatencyResult::step2).
+SearchEnergyResult search_energy(TcamDesign design, const FomOptions& opts,
+                                 const tcam::SearchTiming& timing,
+                                 const tcam::SearchMeasurement* step2) {
   SearchEnergyResult out;
   const tcam::WordOptions wopts = word_options(opts);
 
@@ -139,10 +144,14 @@ SearchEnergyResult measure_search_energy(TcamDesign design,
     return out;
   }
   // 2-step: step-2 miss, both steps run.
-  base_pattern(opts.n_bits, stored, query);
-  inject_mismatch(stored, query, 1);
-  tcam::SearchConfig cfg2{stored, query, timing, 2};
-  const auto m2 = tcam::measure_search(design, wopts, cfg2);
+  tcam::SearchMeasurement fresh;
+  if (step2 == nullptr) {
+    base_pattern(opts.n_bits, stored, query);
+    inject_mismatch(stored, query, 1);
+    tcam::SearchConfig cfg2{stored, query, timing, 2};
+    fresh = tcam::measure_search(design, wopts, cfg2);
+  }
+  const tcam::SearchMeasurement& m2 = step2 != nullptr ? *step2 : fresh;
   if (!m2.ok) {
     out.error = m2.error;
     return out;
@@ -153,6 +162,21 @@ SearchEnergyResult measure_search_energy(TcamDesign design,
   out.breakdown = m1.energy;  // step-1 miss dominates the average
   out.ok = true;
   return out;
+}
+
+}  // namespace
+
+SearchEnergyResult measure_search_energy(TcamDesign design,
+                                         const FomOptions& opts,
+                                         const tcam::SearchTiming& timing) {
+  return search_energy(design, opts, timing, nullptr);
+}
+
+SearchEnergyResult measure_search_energy(TcamDesign design,
+                                         const FomOptions& opts,
+                                         const LatencyResult& lat) {
+  return search_energy(design, opts, lat.sized_timing,
+                       is_two_step(design) ? &lat.step2 : nullptr);
 }
 
 std::optional<double> measure_write_energy(TcamDesign design,
@@ -218,7 +242,7 @@ DesignFom evaluate_fom(TcamDesign design, const FomOptions& opts) {
   fom.latency_1step_ps = lat.latency_1step * 1e12;
   fom.latency_ps = lat.latency_full * 1e12;
 
-  const auto energy = measure_search_energy(design, opts, lat.sized_timing);
+  const auto energy = measure_search_energy(design, opts, lat);
   if (!energy.ok) {
     fom.error = "search energy: " + energy.error;
     return fom;

@@ -76,6 +76,10 @@ struct LatencyResult {
   double latency_1step = 0.0;  ///< 1.5T1Fe only
   double latency_full = 0.0;
   tcam::SearchTiming sized_timing;  ///< window sized to the measured latency
+  /// 1.5T1Fe only: the pass-2 measurement (cell2 mismatch, full two-step
+  /// search at sized_timing) — exactly the step-2 scenario of
+  /// measure_search_energy at sized_timing, so that can reuse it.
+  tcam::SearchMeasurement step2;
 };
 LatencyResult measure_worst_latency(arch::TcamDesign design,
                                     const FomOptions& opts);
@@ -92,6 +96,12 @@ struct SearchEnergyResult {
 SearchEnergyResult measure_search_energy(arch::TcamDesign design,
                                          const FomOptions& opts,
                                          const tcam::SearchTiming& timing);
+/// Same result at `lat.sized_timing`, bit for bit, but the 1.5T1Fe step-2
+/// scenario is taken from `lat.step2` instead of being simulated again.
+/// `lat` must come from measure_worst_latency(design, opts) and be ok.
+SearchEnergyResult measure_search_energy(arch::TcamDesign design,
+                                         const FomOptions& opts,
+                                         const LatencyResult& lat);
 
 /// Average-case write energy per cell (joules); nullopt for designs whose
 /// write path is not modeled (16T CMOS).

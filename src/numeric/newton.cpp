@@ -13,13 +13,15 @@ namespace {
 
 /// Newton/LU solver-health metrics, registered once per process.  The
 /// iteration histogram feeds the "where does solve time go" analysis; the
-/// factor/solve timing histograms are the evidence base for the dense vs
-/// sparse crossover policy (SolverKind::kAuto).
+/// assemble/factor/solve timing histograms split each iteration's cost and
+/// are the evidence base for the dense vs sparse crossover policy
+/// (SolverKind::kAuto).
 struct NewtonMetrics {
   obs::Counter& solves;
   obs::Counter& nonconverged;
   obs::Counter& singular;
   obs::Histogram& iterations;
+  obs::Histogram& assemble_us;
   obs::Histogram& factor_us;
   obs::Histogram& solve_us;
 
@@ -30,6 +32,7 @@ struct NewtonMetrics {
         reg.counter("newton.dense.nonconverged"),
         reg.counter("newton.dense.singular"),
         reg.histogram("newton.dense.iterations", iteration_bounds()),
+        reg.histogram("newton.dense.assemble_us", time_bounds()),
         reg.histogram("lu.dense.factor_us", time_bounds()),
         reg.histogram("lu.dense.solve_us", time_bounds()),
     };
@@ -43,6 +46,7 @@ struct NewtonMetrics {
         reg.counter("newton.sparse.nonconverged"),
         reg.counter("newton.sparse.singular"),
         reg.histogram("newton.sparse.iterations", iteration_bounds()),
+        reg.histogram("newton.sparse.assemble_us", time_bounds()),
         reg.histogram("lu.sparse.factor_us", time_bounds()),
         reg.histogram("lu.sparse.solve_us", time_bounds()),
     };
@@ -79,9 +83,13 @@ NewtonResult solve_newton(const AssembleFn& assemble, Vector& x,
   LuFactorization lu;
 
   for (int it = 0; it < opts.max_iterations; ++it) {
+    const double t_assemble = obs_on ? obs::now_us() : 0.0;
     jac.set_zero();
     residual.fill(0.0);
     assemble(x, jac, residual);
+    if (obs_on) {
+      NewtonMetrics::dense().assemble_us.observe(obs::now_us() - t_assemble);
+    }
 
     res.iterations = it + 1;
     res.residual_norm = residual.inf_norm();
@@ -146,6 +154,7 @@ NewtonResult solve_newton_sparse(const SinkAssembleFn& assemble, Vector& x,
     // array when a pattern is cached; any divergence (first call, mode
     // switch, topology change) falls back to triplet assembly and rebuilds
     // the pattern + stamp-slot map.
+    const double t_assemble = obs_on ? obs::now_us() : 0.0;
     bool assembled = false;
     if (ws.jac.has_pattern() && ws.jac.dim() == n) {
       ws.residual.fill(0.0);
@@ -161,6 +170,9 @@ NewtonResult solve_newton_sparse(const SinkAssembleFn& assemble, Vector& x,
       TripletSink sink(ws.triplets);
       assemble(x, sink, ws.residual);
       ws.jac.build(ws.triplets);
+    }
+    if (obs_on) {
+      NewtonMetrics::sparse().assemble_us.observe(obs::now_us() - t_assemble);
     }
 
     res.iterations = it + 1;

@@ -19,23 +19,14 @@ void assemble_system(const Circuit& ckt, const EvalContext& ctx,
                      const num::Vector& x, JacobianSink& jac,
                      num::Vector& residual) {
   Stamper st(ckt, x, jac, residual);
-  for (const auto& dev : ckt.devices()) {
-    dev->stamp(ctx, st);
-  }
+  for (const auto& dev : ckt.devices()) dev->stamp(ctx, st);
 }
 
 void assemble_system(const Circuit& ckt, const EvalContext& ctx,
                      const num::Vector& x, num::Matrix& jac,
                      num::Vector& residual) {
-  DenseJacobianSink sink(jac);
-  assemble_system(ckt, ctx, x, sink, residual);
-}
-
-void assemble_system(const Circuit& ckt, const EvalContext& ctx,
-                     const num::Vector& x, num::TripletAccumulator& jac,
-                     num::Vector& residual) {
-  TripletJacobianSink sink(jac);
-  assemble_system(ckt, ctx, x, sink, residual);
+  Stamper st(ckt, x, jac, residual);
+  for (const auto& dev : ckt.devices()) dev->stamp(ctx, st);
 }
 
 num::NewtonResult solve_circuit_newton(const Circuit& ckt,

@@ -48,16 +48,13 @@ struct OpResult {
 };
 
 /// Assemble the MNA Jacobian/residual for all devices at candidate `x`.
-/// Shared by OP, DC sweep, and transient.
+/// Shared by OP, DC sweep, and transient.  The dense overload stamps
+/// straight into the matrix.
 void assemble_system(const Circuit& ckt, const EvalContext& ctx,
                      const num::Vector& x, num::Matrix& jac,
                      num::Vector& residual);
-void assemble_system(const Circuit& ckt, const EvalContext& ctx,
-                     const num::Vector& x, num::TripletAccumulator& jac,
-                     num::Vector& residual);
 /// Sink overload: lets the sparse Newton driver choose the assembly
-/// destination (triplet pattern discovery vs stamp-slot replay).  The
-/// dense/triplet overloads above delegate to this one.
+/// destination (triplet pattern discovery vs stamp-slot replay).
 void assemble_system(const Circuit& ckt, const EvalContext& ctx,
                      const num::Vector& x, JacobianSink& jac,
                      num::Vector& residual);

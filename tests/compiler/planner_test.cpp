@@ -266,7 +266,9 @@ TEST(Planner, HotRowRewriteSpreadsToInsertPlusErase) {
     EXPECT_EQ(plan.inserts, 1);
     EXPECT_EQ(plan.erases, 1);
     for (const auto& op : plan.ops) {
-      if (op.kind == PlanOpKind::kInsert) EXPECT_NE(op.mat, loc.mat);
+      if (op.kind == PlanOpKind::kInsert) {
+        EXPECT_NE(op.mat, loc.mat);
+      }
     }
     // Not-endurance-aware planning keeps hammering the row in place.
     PlannerOptions off;

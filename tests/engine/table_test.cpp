@@ -227,7 +227,9 @@ TEST(TcamTable, BroadcastMatchesFlatBehavioralReference) {
     }
     EXPECT_EQ(m.hit, want != kInvalidEntry) << "query " << q;
     EXPECT_EQ(m.entry, want) << "query " << q;
-    if (want != kInvalidEntry) EXPECT_EQ(m.priority, want_p);
+    if (want != kInvalidEntry) {
+      EXPECT_EQ(m.priority, want_p);
+    }
     EXPECT_EQ(m.stats.rows, cfg.mats * cfg.rows_per_mat);
     EXPECT_EQ(m.stats.matches,
               static_cast<int>(std::count_if(

@@ -67,6 +67,30 @@ TEST(Fom, EarlyTerminationSavesEnergy) {
   }
 }
 
+TEST(Fom, SharedStep2MeasurementMatchesFreshSimulation) {
+  // measure_search_energy(design, opts, lat) takes the 1.5T1Fe step-2
+  // scenario from the latency pass instead of simulating it again; the
+  // result must equal the freshly simulated one bit for bit.
+  FomOptions opts;
+  opts.n_bits = 8;
+  for (const auto d : {TcamDesign::k1p5SgFe, TcamDesign::k1p5DgFe,
+                       TcamDesign::k2SgFefet}) {
+    const auto lat = measure_worst_latency(d, opts);
+    ASSERT_TRUE(lat.ok) << lat.error;
+    const auto fresh = measure_search_energy(d, opts, lat.sized_timing);
+    const auto shared = measure_search_energy(d, opts, lat);
+    ASSERT_TRUE(fresh.ok) << fresh.error;
+    ASSERT_TRUE(shared.ok) << shared.error;
+    const std::string name = arch::design_name(d);
+    EXPECT_EQ(shared.e1, fresh.e1) << name;
+    EXPECT_EQ(shared.e2, fresh.e2) << name;
+    EXPECT_EQ(shared.avg, fresh.avg) << name;
+    EXPECT_EQ(shared.breakdown.precharge, fresh.breakdown.precharge) << name;
+    EXPECT_EQ(shared.breakdown.sense_amp, fresh.breakdown.sense_amp) << name;
+    EXPECT_EQ(shared.breakdown.signals, fresh.breakdown.signals) << name;
+  }
+}
+
 TEST(Fom, EvaluateFomFillsEveryField) {
   FomOptions opts = fast_opts();
   const auto fom = evaluate_fom(TcamDesign::k1p5DgFe, opts);
