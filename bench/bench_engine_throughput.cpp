@@ -86,6 +86,24 @@ std::vector<arch::BitWord> make_queries(std::uint64_t seed, int count,
   return qs;
 }
 
+/// Single-lane match: one query through the nq = 1 block call, the path
+/// every single query takes.
+arch::SearchStats match_one(const engine::PackedShard& p,
+                            const engine::PackedQuery& q, bool two_step,
+                            std::vector<std::uint64_t>& mask,
+                            engine::KernelTier tier) {
+  mask.resize(p.mask_words());
+  const engine::PackedQuery* qs[1] = {&q};
+  std::uint64_t* ms[1] = {mask.data()};
+  arch::SearchStats stats;
+  if (two_step) {
+    p.two_step_match_block(qs, 1, ms, &stats, tier);
+  } else {
+    p.full_match_block(qs, 1, ms, &stats, tier);
+  }
+  return stats;
+}
+
 // ---------------------------------------------------------------------------
 // google-benchmark kernels
 // ---------------------------------------------------------------------------
@@ -111,7 +129,8 @@ void BM_PackedFullMatch(benchmark::State& state) {
   std::vector<std::uint64_t> mask;
   std::size_t j = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(p.full_match(packed[j++ % packed.size()], mask));
+    benchmark::DoNotOptimize(match_one(p, packed[j++ % packed.size()], false,
+                                       mask, engine::active_kernel_tier()));
   }
   state.SetItemsProcessed(state.iterations() * kKernelRows);
 }
@@ -126,8 +145,8 @@ void BM_PackedTwoStep(benchmark::State& state) {
   std::vector<std::uint64_t> mask;
   std::size_t j = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        p.two_step_match(packed[j++ % packed.size()], mask));
+    benchmark::DoNotOptimize(match_one(p, packed[j++ % packed.size()], true,
+                                       mask, engine::active_kernel_tier()));
   }
   state.SetItemsProcessed(state.iterations() * kKernelRows);
 }
@@ -150,7 +169,7 @@ void BM_PackedFullMatchTier(benchmark::State& state) {
   std::size_t j = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        p.full_match(packed[j++ % packed.size()], mask, tier));
+        match_one(p, packed[j++ % packed.size()], false, mask, tier));
   }
   state.SetItemsProcessed(state.iterations() * kKernelRows);
   state.SetLabel(engine::kernel_tier_name(tier));
@@ -175,7 +194,7 @@ void BM_PackedTwoStepTier(benchmark::State& state) {
   std::size_t j = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        p.two_step_match(packed[j++ % packed.size()], mask, tier));
+        match_one(p, packed[j++ % packed.size()], true, mask, tier));
   }
   state.SetItemsProcessed(state.iterations() * kKernelRows);
   state.SetLabel(engine::kernel_tier_name(tier));
@@ -241,7 +260,7 @@ struct KernelReport {
   int queries = 0;
   double unpacked_us = 0.0;         ///< TcamArray::search, per query batch
   double unpacked_two_step_us = 0.0;
-  double packed_us = 0.0;           ///< PackedShard::full_match
+  double packed_us = 0.0;           ///< single-lane full_match_block
   double packed_two_step_us = 0.0;
   double speedup = 0.0;             ///< unpacked / packed, full match
   double two_step_speedup = 0.0;
@@ -270,14 +289,15 @@ KernelReport measure_kernel() {
     }
   });
   std::vector<std::uint64_t> mask;
+  const engine::KernelTier tier = engine::active_kernel_tier();
   rep.packed_us = median_us(reps, [&] {
     for (const auto& q : packed) {
-      benchmark::DoNotOptimize(p.full_match(q, mask));
+      benchmark::DoNotOptimize(match_one(p, q, false, mask, tier));
     }
   });
   rep.packed_two_step_us = median_us(reps, [&] {
     for (const auto& q : packed) {
-      benchmark::DoNotOptimize(p.two_step_match(q, mask));
+      benchmark::DoNotOptimize(match_one(p, q, true, mask, tier));
     }
   });
   rep.speedup = rep.packed_us > 0.0 ? rep.unpacked_us / rep.packed_us : 0.0;
@@ -290,8 +310,8 @@ KernelReport measure_kernel() {
 struct SimdReport {
   bool available = false;        ///< AVX2 compiled in AND CPU supports it
   std::string active_tier;       ///< tier the default path dispatches to
-  double scalar_us = 0.0;        ///< full_match pinned to kScalar
-  double simd_us = 0.0;          ///< full_match pinned to kAvx2
+  double scalar_us = 0.0;        ///< single-lane full match, kScalar
+  double simd_us = 0.0;          ///< single-lane full match, kAvx2
   double scalar_two_step_us = 0.0;
   double simd_two_step_us = 0.0;
   double speedup = 0.0;          ///< scalar / simd, full match
@@ -316,26 +336,26 @@ SimdReport measure_simd() {
   rep.scalar_us = median_us(reps, [&] {
     for (const auto& q : packed) {
       benchmark::DoNotOptimize(
-          p.full_match(q, mask, engine::KernelTier::kScalar));
+          match_one(p, q, false, mask, engine::KernelTier::kScalar));
     }
   });
   rep.scalar_two_step_us = median_us(reps, [&] {
     for (const auto& q : packed) {
       benchmark::DoNotOptimize(
-          p.two_step_match(q, mask, engine::KernelTier::kScalar));
+          match_one(p, q, true, mask, engine::KernelTier::kScalar));
     }
   });
   if (rep.available) {
     rep.simd_us = median_us(reps, [&] {
       for (const auto& q : packed) {
         benchmark::DoNotOptimize(
-            p.full_match(q, mask, engine::KernelTier::kAvx2));
+            match_one(p, q, false, mask, engine::KernelTier::kAvx2));
       }
     });
     rep.simd_two_step_us = median_us(reps, [&] {
       for (const auto& q : packed) {
         benchmark::DoNotOptimize(
-            p.two_step_match(q, mask, engine::KernelTier::kAvx2));
+            match_one(p, q, true, mask, engine::KernelTier::kAvx2));
       }
     });
     rep.speedup = rep.simd_us > 0.0 ? rep.scalar_us / rep.simd_us : 0.0;
@@ -348,14 +368,13 @@ SimdReport measure_simd() {
 
 struct MulticoreConfig {
   int dispatch_threads = 1;
-  int mat_groups = 1;
   std::size_t coalesce_batches = 1;
   double qps = 0.0;
 };
 
 /// Search-only trace through the engine under different dispatcher-pool /
-/// mat-group / coalescing shapes.  Results are identical by the engine's
-/// determinism contract; only the throughput moves.
+/// coalescing shapes.  Results are identical by the engine's determinism
+/// contract; only the throughput moves.
 std::vector<MulticoreConfig> measure_multicore(double* best_qps) {
   engine::TraceSpec spec;
   spec.kind = engine::TraceKind::kIpPrefix;
@@ -373,10 +392,10 @@ std::vector<MulticoreConfig> measure_multicore(double* best_qps) {
   cfg.subarrays_per_mat = 4;
 
   std::vector<MulticoreConfig> configs = {
-      {1, 1, 1, 0.0},  // the PR-5 single-dispatcher baseline shape
-      {1, 1, 4, 0.0},  // + window coalescing
-      {2, 4, 4, 0.0},  // small dispatcher pool over 4 mat groups
-      {0, 8, 4, 0.0},  // pool-sized dispatchers, one group per mat
+      {1, 1, 0.0},  // single dispatcher, one batch per window
+      {1, 4, 0.0},  // + window coalescing
+      {2, 4, 0.0},  // small dispatcher pool
+      {0, 4, 0.0},  // pool-sized dispatchers
   };
   *best_qps = 0.0;
   for (auto& c : configs) {
@@ -384,7 +403,6 @@ std::vector<MulticoreConfig> measure_multicore(double* best_qps) {
     const auto ids = engine::load_rules(table, trace);
     engine::EngineOptions eopts;
     eopts.dispatch_threads = c.dispatch_threads;
-    eopts.mat_groups = c.mat_groups;
     eopts.coalesce_batches = c.coalesce_batches;
     engine::SearchEngine eng(table, eopts);
     engine::RunOptions ropts;
@@ -396,7 +414,6 @@ std::vector<MulticoreConfig> measure_multicore(double* best_qps) {
     c.qps = s.qps;
     *best_qps = std::max(*best_qps, c.qps);
     std::cerr << "multicore dispatch=" << c.dispatch_threads
-              << " groups=" << c.mat_groups
               << " coalesce=" << c.coalesce_batches << ": " << c.qps
               << " qps\n";
   }
@@ -658,8 +675,8 @@ int emit_engine_json(const std::string& path, const std::string& stats_path) {
   ropts.update_rate = 0.01;
   ropts.seed = 7;
 
-  // Baseline arm — the PR 7 search path: insertion-order placement,
-  // pruning off, query_block 1 (every lane takes the single-query path).
+  // Baseline arm — insertion-order placement, pruning off, query_block 1
+  // (every lane is its own one-query block).
   engine::TableConfig base_cfg = cfg;
   base_cfg.mat_skip = false;
   engine::RunSummary sb;
@@ -675,8 +692,8 @@ int emit_engine_json(const std::string& path, const std::string& stats_path) {
             << " searches in " << sb.wall_s << "s -> " << sb.qps
             << " qps, hit_rate=" << sb.hit_rate << "\n";
 
-  // Blocked arm — this PR: pruning-aware clustered placement, mat-skip
-  // pruning, blocked kernels at the default query_block.
+  // Blocked arm: pruning-aware clustered placement, mat-skip pruning,
+  // blocked kernels at the default query_block.
   engine::TcamTable table(cfg);
   const auto ids = engine::load_rules_clustered(table, trace);
   engine::SearchEngine eng(table);
@@ -727,7 +744,6 @@ int emit_engine_json(const std::string& path, const std::string& stats_path) {
   for (std::size_t i = 0; i < configs.size(); ++i) {
     const MulticoreConfig& c = configs[i];
     os << "      {\"dispatch_threads\": " << c.dispatch_threads
-       << ", \"mat_groups\": " << c.mat_groups
        << ", \"coalesce_batches\": " << c.coalesce_batches
        << ", \"qps\": " << c.qps << "}"
        << (i + 1 < configs.size() ? "," : "") << "\n";

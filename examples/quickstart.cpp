@@ -5,13 +5,13 @@
 //
 // Walks the three layers of the library:
 //   1. behavioral array  — functional content-addressable search;
-//   2. two-step scheduler — the paper's early-terminating search control;
+//   2. service table     — bit-packed search with the paper's
+//                          early-terminating two-step accounting;
 //   3. circuit harness    — a SPICE-level search of one stored word.
 #include <cstdio>
 
 #include "arch/behavioral_array.hpp"
-#include "arch/controller.hpp"
-#include "arch/search_scheduler.hpp"
+#include "engine/table.hpp"
 #include "tcam/sim_harness.hpp"
 
 using namespace fetcam;
@@ -30,18 +30,25 @@ int main() {
   std::printf("  (first match: row %d)\n",
               array.first_match(query).value_or(-1));
 
-  // ---- 2. The controller facade: search + write with telemetry ------------
-  arch::TcamController tcam(arch::TcamDesign::k1p5DgFe, 8, 8);
-  for (int r = 0; r < 4; ++r) tcam.update(r, array.entry(r));
-  const auto sched = tcam.search(query);
+  // ---- 2. The service table: search + write with telemetry --------------
+  engine::TableConfig tcfg;
+  tcfg.design = arch::TcamDesign::k1p5DgFe;
+  tcfg.mats = 1;
+  tcfg.rows_per_mat = 8;
+  tcfg.cols = 8;
+  tcfg.subarrays_per_mat = 2;
+  engine::TcamTable table(tcfg);
+  for (int r = 0; r < 4; ++r) table.insert(array.entry(r), /*priority=*/r);
+  const engine::TableMatch hit = table.search(query);
   std::printf("two-step search: %d/%d rows terminated after step 1, "
-              "%d ran step 2, %d matched\n",
-              sched.stats.step1_misses, sched.stats.rows,
-              sched.stats.step2_evaluated, sched.stats.matches);
+              "%d ran step 2, %d matched (winner: entry %lld)\n",
+              hit.stats.step1_misses, hit.stats.rows,
+              hit.stats.step2_evaluated, hit.stats.matches,
+              static_cast<long long>(hit.entry));
   std::printf("telemetry: %.3f fJ total energy, %lld write pulses, "
               "hottest row at %.1e of its endurance budget\n",
-              tcam.energy().total_energy_j() * 1e15, tcam.write_pulses(),
-              tcam.endurance().wear_fraction());
+              table.total_energy_j() * 1e15, table.write_pulses(),
+              table.endurance(0).wear_fraction());
 
   // ---- 3. The same word at circuit level ----------------------------------
   std::printf("\ncircuit-level search of row 1 (stored 0101XXXX):\n");

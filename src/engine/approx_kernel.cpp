@@ -91,21 +91,6 @@ arch::SearchStats approx_match_scalar(const ShardView& s,
   return stats;
 }
 
-void approx_match_block_scalar(const ShardView& s,
-                               const std::uint64_t* const* queries, int nq,
-                               int digit_bits, int threshold,
-                               std::uint64_t* const* within_masks,
-                               std::uint16_t* const* distances,
-                               arch::SearchStats* stats) {
-  if (nq < 1 || nq > kMaxQueryBlock) {
-    throw std::invalid_argument("block size out of range");
-  }
-  for (int q = 0; q < nq; ++q) {
-    stats[q] = approx_match_scalar(s, queries[q], digit_bits, threshold,
-                                   within_masks[q], distances[q]);
-  }
-}
-
 }  // namespace detail
 
 namespace {
@@ -167,34 +152,5 @@ arch::SearchStats approx_match(const PackedShard& shard,
                                      threshold, within_mask.data(),
                                      distances.data());
 }
-
-#if !defined(FETCAM_HAVE_AVX2)
-
-namespace detail {
-
-// Scalar stubs so non-SIMD builds link; never selected at runtime
-// (kernel_tier_available(kAvx2) is false without FETCAM_HAVE_AVX2).
-arch::SearchStats approx_match_avx2(const ShardView& s,
-                                    const std::uint64_t* query,
-                                    int digit_bits, int threshold,
-                                    std::uint64_t* within_mask,
-                                    std::uint16_t* distances) {
-  return approx_match_scalar(s, query, digit_bits, threshold, within_mask,
-                             distances);
-}
-
-void approx_match_block_avx2(const ShardView& s,
-                             const std::uint64_t* const* queries, int nq,
-                             int digit_bits, int threshold,
-                             std::uint64_t* const* within_masks,
-                             std::uint16_t* const* distances,
-                             arch::SearchStats* stats) {
-  approx_match_block_scalar(s, queries, nq, digit_bits, threshold,
-                            within_masks, distances, stats);
-}
-
-}  // namespace detail
-
-#endif  // !FETCAM_HAVE_AVX2
 
 }  // namespace fetcam::engine

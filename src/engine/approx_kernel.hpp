@@ -73,24 +73,6 @@ arch::SearchStats approx_match_avx2(const ShardView& s,
                                     std::uint64_t* within_mask,
                                     std::uint16_t* distances);
 
-// Query-blocked variants (nq in 1..kMaxQueryBlock), bit-exact per query
-// vs the single-query kernels.  Approximate traffic is a small fraction
-// of exact traffic, so these delegate per query rather than sharing the
-// planar pass; the signature matches the exact blocked kernels so the
-// shared-pass optimization can land without touching callers.
-void approx_match_block_scalar(const ShardView& s,
-                               const std::uint64_t* const* queries, int nq,
-                               int digit_bits, int threshold,
-                               std::uint64_t* const* within_masks,
-                               std::uint16_t* const* distances,
-                               arch::SearchStats* stats);
-void approx_match_block_avx2(const ShardView& s,
-                             const std::uint64_t* const* queries, int nq,
-                             int digit_bits, int threshold,
-                             std::uint64_t* const* within_masks,
-                             std::uint16_t* const* distances,
-                             arch::SearchStats* stats);
-
 }  // namespace detail
 
 /// Threshold match against one shard: rows whose digit distance is <=

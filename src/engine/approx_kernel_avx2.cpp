@@ -142,21 +142,6 @@ arch::SearchStats approx_match_avx2(const ShardView& s,
   return stats;
 }
 
-void approx_match_block_avx2(const ShardView& s,
-                             const std::uint64_t* const* queries, int nq,
-                             int digit_bits, int threshold,
-                             std::uint64_t* const* within_masks,
-                             std::uint16_t* const* distances,
-                             arch::SearchStats* stats) {
-  if (nq < 1 || nq > kMaxQueryBlock) {
-    throw std::invalid_argument("block size out of range");
-  }
-  for (int q = 0; q < nq; ++q) {
-    stats[q] = approx_match_avx2(s, queries[q], digit_bits, threshold,
-                                 within_masks[q], distances[q]);
-  }
-}
-
 }  // namespace fetcam::engine::detail
 
 #endif  // FETCAM_HAVE_AVX2

@@ -34,7 +34,6 @@ struct EngineMetrics {
   obs::LatencyRecorder& coalesce_delay;
   /// Phase-A latency per kernel tier, indexed by KernelTier.
   obs::LatencyRecorder* match_tier[2];
-  obs::LatencyRecorder& merge;
   obs::LatencyRecorder& apply;
   obs::LatencyRecorder& batch_total;
   /// Digit-distance histogram of nearest-search winners.  Distances are
@@ -62,7 +61,6 @@ struct EngineMetrics {
         reg.latency("engine.stage.coalesce_delay"),
         {&reg.latency("engine.stage.match.scalar"),
          &reg.latency("engine.stage.match.avx2")},
-        reg.latency("engine.stage.merge"),
         reg.latency("engine.stage.apply"),
         reg.latency("engine.batch.total"),
         reg.latency("engine.near_distance"),
@@ -88,11 +86,6 @@ EngineOptions SearchEngine::validate_options(EngineOptions options) {
     throw std::invalid_argument(
         "EngineOptions.queue_capacity must be > 0 (a zero-capacity queue "
         "can never admit a batch)");
-  }
-  if (options.mat_groups <= 0) {
-    throw std::invalid_argument(
-        "EngineOptions.mat_groups must be > 0, got " +
-        std::to_string(options.mat_groups));
   }
   if (options.dispatch_threads < 0) {
     throw std::invalid_argument(
@@ -128,25 +121,10 @@ SearchEngine::SearchEngine(TcamTable& table, EngineOptions options)
       options_(validate_options(options)),
       queue_(options_.queue_capacity) {
   const TableConfig& cfg = table.config();
-  mat_groups_ = std::clamp(options_.mat_groups, 1, cfg.mats);
   dispatch_threads_ = options_.dispatch_threads > 0
                           ? options_.dispatch_threads
                           : util::thread_count();
   if (dispatch_threads_ < 1) dispatch_threads_ = 1;
-  // Contiguous, near-even group split: group g covers
-  // [g*mats/G, (g+1)*mats/G) — fixed at construction, so the fold order
-  // (and with it every merged result) is a pure function of the config.
-  group_bounds_.resize(static_cast<std::size_t>(mat_groups_) + 1);
-  for (int g = 0; g <= mat_groups_; ++g) {
-    group_bounds_[static_cast<std::size_t>(g)] =
-        static_cast<int>(static_cast<long long>(g) * cfg.mats / mat_groups_);
-  }
-  group_match_lat_.resize(static_cast<std::size_t>(mat_groups_));
-  for (int g = 0; g < mat_groups_; ++g) {
-    group_match_lat_[static_cast<std::size_t>(g)] =
-        &obs::MetricsRegistry::instance().latency(
-            "engine.stage.match.group" + std::to_string(g));
-  }
   // Don't attribute pre-engine pruning activity to this engine's registry
   // counters.
   last_mats_considered_ = table.mats_considered();
@@ -388,10 +366,7 @@ void SearchEngine::match_window(
   if (searches.empty() && nearest.empty()) return;
 
   // Pack every search lane once per window (nearest lanes after exact
-  // ones).  Each of the G mat-group tasks touching a block previously
-  // re-packed the same queries, so this removes a G-fold redundant
-  // digit-to-bit conversion from the hot path (coordinator-only state;
-  // tasks read the packs immutably).
+  // ones); tasks read the packs immutably (coordinator-only state).
   if (packed_queries_.size() < searches.size() + nearest.size()) {
     packed_queries_.resize(searches.size() + nearest.size());
   }
@@ -405,99 +380,49 @@ void SearchEngine::match_window(
         works[ref.w].batch[ref.i].query);
   }
 
-  // Phase A fan-out.  The window's searches are chunked into fixed
-  // submission-order blocks of `query_block` lanes; task k =
-  // (block k/G, group k%G).  Every partial writes its own pre-indexed
-  // slot, so the claim schedule is invisible — and because per-lane
+  // Phase A fan-out.  The window's exact searches are chunked into fixed
+  // submission-order blocks of `query_block` lanes — task k < blocks
+  // matches block k over every mat — and each nearest search is one task
+  // after them.  Every task writes its requests' own pre-indexed result
+  // slots, so the claim schedule is invisible, and because per-lane
   // results never depend on block composition (table.cpp), neither is
-  // the block size: any B yields the same partials, hence the same fold.
-  const std::size_t groups = static_cast<std::size_t>(mat_groups_);
+  // the block size.  Searches are independent per query: no merge step.
   const std::size_t block = static_cast<std::size_t>(options_.query_block);
   const std::size_t blocks = (searches.size() + block - 1) / block;
-  const std::size_t exact_tasks = blocks * groups;
-  std::vector<TableMatch> partials(searches.size() * groups);
-  std::vector<NearestMatch> near_partials(nearest.size() * groups);
   const std::function<void(std::size_t)> task = [&](std::size_t k) {
-    if (k >= exact_tasks) {
-      // Nearest fan-out: task (s, g) scans one mat group for one query.
-      // Same pre-indexed-slot discipline as the exact path; the kernels
-      // are per-query streams, so there is no block dimension here.
-      const std::size_t n = k - exact_tasks;
-      const std::size_t s = n / groups;
-      const std::size_t g = n % groups;
+    if (k >= blocks) {
+      const std::size_t s = k - blocks;
       const NearestRef& ref = nearest[s];
-      const bool timed = obs::metrics_on();
-      const std::uint64_t t0_ns = timed ? obs::now_ns() : 0;
       obs::ScopedSpan span("engine.near_task", "engine",
                            works[ref.w].trace_id);
       thread_local NearestScratch scratch;
       table_.nearest_mats(packed_queries_[searches.size() + s], ref.k,
-                          ref.threshold, group_bounds_[g],
-                          group_bounds_[g + 1], scratch,
-                          near_partials[s * groups + g]);
-      if (timed) group_match_lat_[g]->record_ns(obs::now_ns() - t0_ns);
+                          ref.threshold, 0, table_.mats(), scratch,
+                          nears[ref.w - begin][ref.i]);
       return;
     }
-    const std::size_t s0 = (k / groups) * block;
+    const std::size_t s0 = k * block;
     const std::size_t s1 = std::min(s0 + block, searches.size());
-    const std::size_t g = k % groups;
-    const bool timed = obs::metrics_on();
-    const std::uint64_t t0_ns = timed ? obs::now_ns() : 0;
     obs::ScopedSpan span("engine.match_task", "engine",
                          works[searches[s0].w].trace_id);
-    if (s1 - s0 == 1) {
-      // Single lane (block size 1, or the window's tail): the scalar
-      // single-query path — also the golden reference the blocked path
-      // must reproduce bit for bit.
-      thread_local MatchScratch scratch;
-      table_.match_mats(packed_queries_[s0], group_bounds_[g],
-                        group_bounds_[g + 1], scratch,
-                        partials[s0 * groups + g]);
-    } else {
-      thread_local BlockMatchScratch scratch;
-      const PackedQuery* queries[kMaxQueryBlock];
-      TableMatch* outs[kMaxQueryBlock];
-      for (std::size_t s = s0; s < s1; ++s) {
-        queries[s - s0] = &packed_queries_[s];
-        outs[s - s0] = &partials[s * groups + g];
-      }
-      table_.match_mats_block(queries, static_cast<int>(s1 - s0),
-                              group_bounds_[g], group_bounds_[g + 1],
-                              scratch, outs);
+    thread_local BlockMatchScratch scratch;
+    const PackedQuery* queries[kMaxQueryBlock];
+    TableMatch* outs[kMaxQueryBlock];
+    for (std::size_t s = s0; s < s1; ++s) {
+      queries[s - s0] = &packed_queries_[s];
+      outs[s - s0] = &matches[searches[s].w - begin][searches[s].i];
     }
-    if (timed) group_match_lat_[g]->record_ns(obs::now_ns() - t0_ns);
+    table_.match_mats_block(queries, static_cast<int>(s1 - s0), 0,
+                            table_.mats(), scratch, outs);
   };
   const bool metrics = obs::metrics_on();
   const std::uint64_t a0_ns = metrics ? obs::now_ns() : 0;
-  run_round(exact_tasks + nearest.size() * groups, task);
-  std::uint64_t a1_ns = 0;
+  run_round(blocks + nearest.size(), task);
   if (metrics) {
-    a1_ns = obs::now_ns();
     EngineMetrics::get()
         .match_tier[static_cast<int>(active_kernel_tier())]
-        ->record_ns(a1_ns - a0_ns);
+        ->record_ns(obs::now_ns() - a0_ns);
   }
-
-  // Fixed group-order fold: merge_match resolves by (priority, id), so
-  // the merged winner equals the single-dispatcher broadcast bit for bit.
-  for (std::size_t s = 0; s < searches.size(); ++s) {
-    TableMatch& out = matches[searches[s].w - begin][searches[s].i];
-    out = std::move(partials[s * groups]);
-    for (std::size_t g = 1; g < groups; ++g) {
-      merge_match(out, partials[s * groups + g]);
-    }
-  }
-  // Same fixed-order fold for nearest partials: merge_nearest's sorted
-  // k-truncating merge over the strict (distance, priority, id) order is
-  // associative, so the global top-k equals the single-group scan's.
-  for (std::size_t s = 0; s < nearest.size(); ++s) {
-    NearestMatch& out = nears[nearest[s].w - begin][nearest[s].i];
-    out = std::move(near_partials[s * groups]);
-    for (std::size_t g = 1; g < groups; ++g) {
-      merge_nearest(out, near_partials[s * groups + g], nearest[s].k);
-    }
-  }
-  if (metrics) EngineMetrics::get().merge.record_ns(obs::now_ns() - a1_ns);
 }
 
 BatchResult SearchEngine::apply(Work& work, std::vector<TableMatch>& matches,

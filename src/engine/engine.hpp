@@ -1,6 +1,6 @@
 // Concurrent TCAM request engine: bounded batch admission with window
-// coalescing, per-mat-group parallel match dispatch, deterministic
-// in-order application, and a shared-HV-driver admission model.
+// coalescing, parallel per-query match dispatch, deterministic in-order
+// application, and a shared-HV-driver admission model.
 //
 // Execution model (the determinism contract, docs/ENGINE.md):
 //
@@ -11,20 +11,19 @@
 //     window holds multiple batches only while they are pure-search — the
 //     first batch carrying any mutation closes it — so how many batches
 //     happen to be queued (a timing artifact) can never change results.
-//   * Phase A — parallel match: the table's mats are split into
-//     `mat_groups` contiguous groups, and every (search, group) pair in
-//     the window becomes one partial-match task.  `dispatch_threads`
+//   * Phase A — parallel match: searches are independent per query, so
+//     the window's exact searches are cut into fixed blocks of
+//     `query_block` queries and each block is one task over ALL mats;
+//     each nearest search is one task of its own.  `dispatch_threads`
 //     dispatcher threads (the coordinator counts as one) claim tasks from
-//     a shared cursor; each partial writes its own pre-indexed slot, so
-//     the claim schedule cannot influence anything observable.  The
-//     coordinator then folds each search's partials in fixed group order
-//     with merge_match — an associative (priority, id) resolution, so the
-//     merged winner equals the single-dispatcher winner bit for bit.
+//     a shared cursor; each task writes its requests' own pre-indexed
+//     result slots, so the claim schedule cannot influence anything
+//     observable and there is nothing to merge.
 //   * Phase B — serial application per batch, in submission order, on the
 //     coordinator: ALL accounting and ALL writes apply in request order.
 //   * Result: batch results, table contents, energy/endurance totals, and
 //     search statistics are bit-identical for any dispatcher thread count
-//     (1, 2, 8, ...), any mat_groups, any queue capacity, any coalescing
+//     (1, 2, 8, ...), any query_block, any queue capacity, any coalescing
 //     window, and any producer interleaving of distinct batches.
 //
 // Driver-multiplex admission (paper Sec. III-C / Fig. 6): within a mat,
@@ -50,10 +49,6 @@
 #include "arch/hv_driver.hpp"
 #include "engine/queue.hpp"
 #include "engine/table.hpp"
-
-namespace fetcam::obs {
-class LatencyRecorder;
-}
 
 namespace fetcam::engine {
 
@@ -174,20 +169,14 @@ struct BatchResult {
 
 /// Engine configuration.  SearchEngine's constructor validates every
 /// field and throws std::invalid_argument naming the offending one —
-/// degenerate values (zero capacity, zero coalescing, non-positive
-/// groups) used to reach the dispatcher as silent near-deadlocks.
+/// degenerate values (zero capacity, zero coalescing) used to reach the
+/// dispatcher as silent near-deadlocks.
 struct EngineOptions {
   std::size_t queue_capacity = 8;  ///< batches admitted before submit blocks
                                    ///< (must be > 0)
   /// Duration of one HV write phase (a 1.5T1Fe row update issues 3).
   double write_pulse_s = 50e-9;
-  /// Contiguous mat groups the broadcast is split into; every
-  /// (search block, group) pair is one independently dispatched
-  /// partial-match task.  Must be > 0; values above the table's mat count
-  /// clamp down to it.  Purely a parallelism knob: partials merge in
-  /// fixed group order, so results never depend on it.
-  int mat_groups = 1;
-  /// Dispatcher threads claiming partial-match tasks (the coordinator
+  /// Dispatcher threads claiming phase-A match tasks (the coordinator
   /// counts as one; n - 1 helpers are spawned).  0 resolves through
   /// util::thread_count() (--threads / FETCAM_THREADS), so existing
   /// thread sweeps exercise the multi-dispatcher path; negative values
@@ -202,9 +191,8 @@ struct EngineOptions {
   /// Queries matched per kernel pass (1..kMaxQueryBlock): each window's
   /// searches are chunked into fixed submission-order blocks of this size
   /// so one streaming pass over a shard's planar words serves the whole
-  /// block (docs/ENGINE.md "Query blocking").  1 = the single-query path.
-  /// Purely a bandwidth knob: per-query results are bit-identical for
-  /// every block size.
+  /// block (docs/ENGINE.md "Query blocking").  Purely a bandwidth knob:
+  /// per-query results are bit-identical for every block size.
   int query_block = 8;
   /// Default top-k for kSearchNearest requests that leave Request::k at 0
   /// (must be >= 1).
@@ -252,8 +240,7 @@ class SearchEngine {
   /// Block until every batch submitted so far has been applied.
   void drain();
 
-  /// Resolved (post-clamp) parallelism for reporting.
-  int mat_groups() const { return mat_groups_; }
+  /// Resolved parallelism for reporting.
   int dispatch_threads() const { return dispatch_threads_; }
   int query_block() const { return options_.query_block; }
 
@@ -326,10 +313,10 @@ class SearchEngine {
   /// tasks completed.  Serial in-line when there are no helpers.
   void run_round(std::size_t count,
                  const std::function<void(std::size_t)>& fn);
-  /// Phase A for works[begin, end): fan out (search x group) partials —
-  /// exact matches into per-request TableMatch slots, nearest searches
-  /// into per-request NearestMatch slots (same pre-indexed-slot +
-  /// fixed-group-order-fold contract, so both are dispatcher-invariant).
+  /// Phase A for works[begin, end): fan out exact query blocks into
+  /// per-request TableMatch slots and nearest searches into per-request
+  /// NearestMatch slots (pre-indexed slots, so both are
+  /// dispatcher-invariant).
   void match_window(std::vector<Work>& works, std::size_t begin,
                     std::size_t end,
                     std::vector<std::vector<TableMatch>>& matches,
@@ -343,17 +330,9 @@ class SearchEngine {
 
   TcamTable& table_;
   EngineOptions options_;
-  int mat_groups_ = 1;        ///< clamped to [1, mats]
   int dispatch_threads_ = 1;  ///< resolved (>= 1)
-  /// Group g covers mats [bounds[g], bounds[g+1]).
-  std::vector<int> group_bounds_;
-  /// Per-mat-group phase-A latency recorders ("engine.stage.match.group<g>"),
-  /// resolved once at construction so the task hot path never touches the
-  /// registry mutex.
-  std::vector<obs::LatencyRecorder*> group_match_lat_;
   /// Window-scoped query packs (coordinator only): each search lane is
-  /// bit-packed once per window, then shared read-only by every
-  /// (block, mat-group) task instead of being re-packed per task.
+  /// bit-packed once per window, then read by its phase-A task.
   std::vector<PackedQuery> packed_queries_;
   BoundedQueue<Work> queue_;
   /// One shared-driver scheduler per mat, persistent across batches.

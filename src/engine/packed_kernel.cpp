@@ -74,82 +74,6 @@ void clear_kernel_tier_override() {
 
 namespace detail {
 
-arch::SearchStats full_match_scalar(const ShardView& s,
-                                    const std::uint64_t* query,
-                                    std::uint64_t* match_mask) {
-  arch::SearchStats stats;
-  stats.rows = s.rows;
-  stats.step2_evaluated = s.rows;  // single-step: every row evaluates fully
-  const std::size_t pad = static_cast<std::size_t>(s.rows_pad);
-  for (int r = 0; r < s.rows; ++r) {
-    if (((s.valid[static_cast<std::size_t>(r) >> 6] >> (r & 63)) & 1ULL) ==
-        0) {
-      continue;
-    }
-    bool matched = true;
-    for (int w = 0; w < s.wpr; ++w) {
-      const std::size_t at =
-          static_cast<std::size_t>(w) * pad + static_cast<std::size_t>(r);
-      if ((s.care[at] & (s.value[at] ^ query[w])) != 0) {
-        matched = false;
-        break;
-      }
-    }
-    if (matched) {
-      match_mask[static_cast<std::size_t>(r) >> 6] |= 1ULL << (r & 63);
-      ++stats.matches;
-    }
-  }
-  return stats;
-}
-
-arch::SearchStats two_step_match_scalar(const ShardView& s,
-                                        const std::uint64_t* query,
-                                        std::uint64_t* match_mask) {
-  arch::SearchStats stats;
-  stats.rows = s.rows;
-  const std::size_t pad = static_cast<std::size_t>(s.rows_pad);
-  for (int r = 0; r < s.rows; ++r) {
-    if (((s.valid[static_cast<std::size_t>(r) >> 6] >> (r & 63)) & 1ULL) ==
-        0) {
-      // Invalid rows stay erased-to-'0' at cell1 positions and miss in
-      // step 1 (same accounting as arch::two_step_search).
-      ++stats.step1_misses;
-      continue;
-    }
-    // Step 1: even (cell1) digits of every word.
-    bool alive = true;
-    for (int w = 0; w < s.wpr; ++w) {
-      const std::size_t at =
-          static_cast<std::size_t>(w) * pad + static_cast<std::size_t>(r);
-      if ((s.care[at] & (s.value[at] ^ query[w]) & kEvenDigits) != 0) {
-        alive = false;
-        break;
-      }
-    }
-    if (!alive) {
-      ++stats.step1_misses;
-      continue;
-    }
-    // Step 2: odd (cell2) digits, only for surviving rows.
-    ++stats.step2_evaluated;
-    bool matched = true;
-    for (int w = 0; w < s.wpr; ++w) {
-      const std::size_t at =
-          static_cast<std::size_t>(w) * pad + static_cast<std::size_t>(r);
-      if ((s.care[at] & (s.value[at] ^ query[w]) & kOddDigits) != 0) {
-        matched = false;
-        break;
-      }
-    }
-    if (matched) {
-      match_mask[static_cast<std::size_t>(r) >> 6] |= 1ULL << (r & 63);
-      ++stats.matches;
-    }
-  }
-  return stats;
-}
-
 namespace {
 
 // Shared shape of the blocked scalar kernels: one pass over the planar
@@ -159,6 +83,25 @@ namespace {
 // OR_w(mis_w & even) == (OR_w mis_w) & even — so the step-1 / step-2 zero
 // tests read the even / odd halves of the same accumulator.  NQ is a
 // template parameter so the accumulator array unrolls into registers.
+//
+// Early exit: a row stops reading words once every query has mismatched it
+// (two-step: once every query has failed step 1 on it — its step-2 bits
+// are then masked off by `alive`).  Accumulators only grow, so this
+// changes cost, never a match bit or a counter.
+//
+// Both impls copy the view's plane pointers and the lane pointers into
+// locals first: read through `s` and `queries`, GCC reloads them on every
+// row.
+
+/// True when every one of the NQ accumulators has a bit set under `mask`.
+template <int NQ>
+inline bool all_mismatched(const std::uint64_t* acc, std::uint64_t mask) {
+  for (int q = 0; q < NQ; ++q) {
+    if ((acc[q] & mask) == 0) return false;
+  }
+  return true;
+}
+
 template <int NQ>
 void full_match_block_scalar_impl(const ShardView& s,
                                   const std::uint64_t* const* queries,
@@ -171,17 +114,23 @@ void full_match_block_scalar_impl(const ShardView& s,
   }
   const std::size_t pad = static_cast<std::size_t>(s.rows_pad);
   const int blocks = s.rows_pad / 64;
+  const int wpr = s.wpr;
+  const std::uint64_t* const care = s.care;
+  const std::uint64_t* const value = s.value;
+  const std::uint64_t* qs[NQ];
+  for (int q = 0; q < NQ; ++q) qs[q] = queries[q];
   for (int b = 0; b < blocks; ++b) {
     std::uint64_t ok[NQ] = {};
     for (int r = 0; r < 64; ++r) {
       const std::size_t row = static_cast<std::size_t>(b) * 64 +
                               static_cast<std::size_t>(r);
       std::uint64_t acc[NQ] = {};
-      for (int w = 0; w < s.wpr; ++w) {
+      for (int w = 0; w < wpr; ++w) {
         const std::size_t at = static_cast<std::size_t>(w) * pad + row;
-        const std::uint64_t c = s.care[at];
-        const std::uint64_t v = s.value[at];
-        for (int q = 0; q < NQ; ++q) acc[q] |= c & (v ^ queries[q][w]);
+        const std::uint64_t c = care[at];
+        const std::uint64_t v = value[at];
+        for (int q = 0; q < NQ; ++q) acc[q] |= c & (v ^ qs[q][w]);
+        if (w + 1 < wpr && all_mismatched<NQ>(acc, ~0ULL)) break;
       }
       for (int q = 0; q < NQ; ++q) {
         ok[q] |= static_cast<std::uint64_t>(acc[q] == 0) << r;
@@ -207,6 +156,11 @@ void two_step_match_block_scalar_impl(const ShardView& s,
   }
   const std::size_t pad = static_cast<std::size_t>(s.rows_pad);
   const int blocks = s.rows_pad / 64;
+  const int wpr = s.wpr;
+  const std::uint64_t* const care = s.care;
+  const std::uint64_t* const value = s.value;
+  const std::uint64_t* qs[NQ];
+  for (int q = 0; q < NQ; ++q) qs[q] = queries[q];
   for (int b = 0; b < blocks; ++b) {
     std::uint64_t step1_ok[NQ] = {};
     std::uint64_t step2_ok[NQ] = {};
@@ -214,22 +168,22 @@ void two_step_match_block_scalar_impl(const ShardView& s,
       const std::size_t row = static_cast<std::size_t>(b) * 64 +
                               static_cast<std::size_t>(r);
       std::uint64_t acc[NQ] = {};
-      for (int w = 0; w < s.wpr; ++w) {
+      for (int w = 0; w < wpr; ++w) {
         const std::size_t at = static_cast<std::size_t>(w) * pad + row;
-        const std::uint64_t c = s.care[at];
-        const std::uint64_t v = s.value[at];
-        for (int q = 0; q < NQ; ++q) acc[q] |= c & (v ^ queries[q][w]);
+        const std::uint64_t c = care[at];
+        const std::uint64_t v = value[at];
+        for (int q = 0; q < NQ; ++q) acc[q] |= c & (v ^ qs[q][w]);
+        if (w + 1 < wpr && all_mismatched<NQ>(acc, kEvenDigits)) break;
       }
       for (int q = 0; q < NQ; ++q) {
-        step1_ok[q] |=
-            static_cast<std::uint64_t>((acc[q] & kEvenDigits) == 0) << r;
-        step2_ok[q] |=
-            static_cast<std::uint64_t>((acc[q] & kOddDigits) == 0) << r;
+        if ((acc[q] & kEvenDigits) != 0) continue;  // step-1 miss
+        step1_ok[q] |= 1ULL << r;
+        if ((acc[q] & kOddDigits) == 0) step2_ok[q] |= 1ULL << r;
       }
     }
-    // Invalid (and padded) rows miss in step 1, like the single-query
-    // tiers; per-block popcount accounting reproduces the per-row
-    // counters exactly (same argument as the AVX2 tier).
+    // Invalid (and padded) rows miss in step 1, like
+    // arch::two_step_search; per-block popcount accounting reproduces its
+    // per-row counters exactly (same argument as the AVX2 tier).
     const std::uint64_t valid = s.valid[static_cast<std::size_t>(b)];
     const int real_rows = s.rows - b * 64 < 64 ? s.rows - b * 64 : 64;
     for (int q = 0; q < NQ; ++q) {
@@ -301,16 +255,6 @@ void two_step_match_block_scalar(const ShardView& s,
 #if !defined(FETCAM_HAVE_AVX2)
 // Stubs so the dispatch switch links in scalar-only builds; the tier is
 // reported unavailable, so these are unreachable.
-arch::SearchStats full_match_avx2(const ShardView& s,
-                                  const std::uint64_t* query,
-                                  std::uint64_t* match_mask) {
-  return full_match_scalar(s, query, match_mask);
-}
-arch::SearchStats two_step_match_avx2(const ShardView& s,
-                                      const std::uint64_t* query,
-                                      std::uint64_t* match_mask) {
-  return two_step_match_scalar(s, query, match_mask);
-}
 void full_match_block_avx2(const ShardView& s,
                            const std::uint64_t* const* queries, int nq,
                            std::uint64_t* const* match_masks,
@@ -433,61 +377,6 @@ arch::TernaryWord PackedShard::entry(int row) const {
   return out;
 }
 
-arch::SearchStats PackedShard::full_match(
-    const PackedQuery& query, std::vector<std::uint64_t>& match_mask) const {
-  return full_match(query, match_mask, active_kernel_tier());
-}
-
-arch::SearchStats PackedShard::full_match(const PackedQuery& query,
-                                          std::vector<std::uint64_t>& match_mask,
-                                          KernelTier tier) const {
-  check_query(query);
-  match_mask.assign(mask_words(), 0);
-  if (rows_ == 0) {
-    arch::SearchStats stats;
-    return stats;
-  }
-  switch (tier) {
-    case KernelTier::kAvx2:
-      return detail::full_match_avx2(view(), query.bits.data(),
-                                     match_mask.data());
-    case KernelTier::kScalar:
-      break;
-  }
-  return detail::full_match_scalar(view(), query.bits.data(),
-                                   match_mask.data());
-}
-
-arch::SearchStats PackedShard::two_step_match(
-    const PackedQuery& query, std::vector<std::uint64_t>& match_mask) const {
-  return two_step_match(query, match_mask, active_kernel_tier());
-}
-
-arch::SearchStats PackedShard::two_step_match(
-    const PackedQuery& query, std::vector<std::uint64_t>& match_mask,
-    KernelTier tier) const {
-  check_query(query);
-  if (cols_ % 2 != 0) {
-    throw std::invalid_argument(
-        "two-step search needs an even word length (shard is " +
-        std::to_string(rows_) + " rows x " + std::to_string(cols_) + " cols)");
-  }
-  match_mask.assign(mask_words(), 0);
-  if (rows_ == 0) {
-    arch::SearchStats stats;
-    return stats;
-  }
-  switch (tier) {
-    case KernelTier::kAvx2:
-      return detail::two_step_match_avx2(view(), query.bits.data(),
-                                         match_mask.data());
-    case KernelTier::kScalar:
-      break;
-  }
-  return detail::two_step_match_scalar(view(), query.bits.data(),
-                                       match_mask.data());
-}
-
 void PackedShard::check_block(const PackedQuery* const* queries,
                               int nq) const {
   if (nq < 1 || nq > kMaxQueryBlock) {
@@ -560,27 +449,40 @@ void PackedShard::two_step_match_block(const PackedQuery* const* queries,
   detail::two_step_match_block_scalar(view(), qbits, nq, match_masks, stats);
 }
 
-std::vector<bool> PackedShard::search(const arch::BitWord& query) const {
-  std::vector<std::uint64_t> mask;
-  full_match(PackedQuery::pack(query), mask);
-  std::vector<bool> out(static_cast<std::size_t>(rows_), false);
-  for (int r = 0; r < rows_; ++r) {
+namespace {
+
+/// Unpack the first `rows` bits of a row bitmask.
+std::vector<bool> unpack_mask(const std::vector<std::uint64_t>& mask,
+                              int rows) {
+  std::vector<bool> out(static_cast<std::size_t>(rows), false);
+  for (int r = 0; r < rows; ++r) {
     out[static_cast<std::size_t>(r)] =
         (mask[static_cast<std::size_t>(r) >> 6] >> (r & 63)) & 1ULL;
   }
   return out;
 }
 
+}  // namespace
+
+std::vector<bool> PackedShard::search(const arch::BitWord& query) const {
+  const PackedQuery packed = PackedQuery::pack(query);
+  const PackedQuery* queries[1] = {&packed};
+  std::vector<std::uint64_t> mask(mask_words(), 0);
+  std::uint64_t* masks[1] = {mask.data()};
+  arch::SearchStats stats;
+  full_match_block(queries, 1, masks, &stats);
+  return unpack_mask(mask, rows_);
+}
+
 arch::ScheduledSearchResult PackedShard::two_step_search(
     const arch::BitWord& query) const {
-  std::vector<std::uint64_t> mask;
+  const PackedQuery packed = PackedQuery::pack(query);
+  const PackedQuery* queries[1] = {&packed};
+  std::vector<std::uint64_t> mask(mask_words(), 0);
+  std::uint64_t* masks[1] = {mask.data()};
   arch::ScheduledSearchResult res;
-  res.stats = two_step_match(PackedQuery::pack(query), mask);
-  res.matches.assign(static_cast<std::size_t>(rows_), false);
-  for (int r = 0; r < rows_; ++r) {
-    res.matches[static_cast<std::size_t>(r)] =
-        (mask[static_cast<std::size_t>(r) >> 6] >> (r & 63)) & 1ULL;
-  }
+  two_step_match_block(queries, 1, masks, &res.stats);
+  res.matches = unpack_mask(mask, rows_);
   return res;
 }
 

@@ -81,7 +81,7 @@ void clear_kernel_tier_override();
 namespace detail {
 
 /// Borrowed view of one shard's planar arrays, consumed by the per-tier
-/// kernels.  `mask` outputs are rows_pad/64 words, caller-zeroed.
+/// kernels.  `mask` outputs are rows_pad/64 words, fully overwritten.
 struct ShardView {
   const std::uint64_t* care = nullptr;   ///< wpr planes of rows_pad words
   const std::uint64_t* value = nullptr;  ///< same shape as care
@@ -91,28 +91,20 @@ struct ShardView {
   int wpr = 0;       ///< words per row (ceil(cols/64))
 };
 
-arch::SearchStats full_match_scalar(const ShardView& s,
-                                    const std::uint64_t* query,
-                                    std::uint64_t* match_mask);
-arch::SearchStats two_step_match_scalar(const ShardView& s,
-                                        const std::uint64_t* query,
-                                        std::uint64_t* match_mask);
-// Defined in packed_kernel_avx2.cpp (FETCAM_HAVE_AVX2 builds only).
-arch::SearchStats full_match_avx2(const ShardView& s,
-                                  const std::uint64_t* query,
-                                  std::uint64_t* match_mask);
-arch::SearchStats two_step_match_avx2(const ShardView& s,
-                                      const std::uint64_t* query,
-                                      std::uint64_t* match_mask);
-
-// Query-blocked kernels: match nq (1..kMaxQueryBlock) queries in ONE pass
-// over the shard's planar words, so each care/value word loaded from
-// memory is reused nq times instead of once.  queries[q] points to wpr
-// packed words; match_masks[q] points to rows_pad/64 words and is fully
-// overwritten; stats[q] is reset and filled.  Per-query masks and stats
-// are BIT-EXACT against the single-query kernels for every q — block
-// composition only changes cost, never results (the determinism argument
-// the engine's block scheduler rests on, docs/ENGINE.md).
+// Query-blocked kernels, the only exact-match kernels: match nq
+// (1..kMaxQueryBlock) queries in ONE pass over the shard's planar words, so
+// each care/value word loaded from memory is reused nq times instead of
+// once; a single query is a block of 1.  queries[q] points to wpr packed
+// words; match_masks[q] points to rows_pad/64 words and is fully
+// overwritten; stats[q] is reset and filled.  Per-query masks and stats are
+// BIT-EXACT against the behavioral references (TcamArray::search,
+// arch::two_step_search) for every q — block composition only changes
+// cost, never results (the determinism argument the engine's block
+// scheduler rests on, docs/ENGINE.md).  A row group stops reading words
+// once every lane of every query has mismatched (for two-step: failed step
+// 1); that early exit changes cost only.
+// The AVX2 pair is defined in packed_kernel_avx2.cpp (FETCAM_HAVE_AVX2
+// builds only).
 void full_match_block_scalar(const ShardView& s,
                              const std::uint64_t* const* queries, int nq,
                              std::uint64_t* const* match_masks,
@@ -164,30 +156,18 @@ class PackedShard {
   /// is lossless per digit).
   arch::TernaryWord entry(int row) const;
 
-  /// Single-step full match (TcamArray::search semantics: invalid rows
-  /// never match).  Sets bit (r & 63) of match_mask[r >> 6] per matching
-  /// row; stats are shaped like TcamController's single-step accounting
-  /// (every row evaluates fully: step2_evaluated = rows, no step-1 misses).
-  /// Uses active_kernel_tier(); the explicit-tier overload pins one.
-  arch::SearchStats full_match(const PackedQuery& query,
-                               std::vector<std::uint64_t>& match_mask) const;
-  arch::SearchStats full_match(const PackedQuery& query,
-                               std::vector<std::uint64_t>& match_mask,
-                               KernelTier tier) const;
-
-  /// Two-step early-terminating match, bit-exact vs arch::two_step_search
-  /// (match flags and SearchStats).  Requires an even word length.
-  arch::SearchStats two_step_match(const PackedQuery& query,
-                                   std::vector<std::uint64_t>& match_mask) const;
-  arch::SearchStats two_step_match(const PackedQuery& query,
-                                   std::vector<std::uint64_t>& match_mask,
-                                   KernelTier tier) const;
-
   /// Query-blocked match: nq (1..kMaxQueryBlock) queries in one pass over
-  /// the planar words.  match_masks[q] must hold mask_words() words and is
-  /// fully overwritten; stats[q] is reset.  Per-query results are
-  /// bit-exact vs the single-query kernels regardless of block
-  /// composition.  The tier-less overloads use active_kernel_tier().
+  /// the planar words (a single query is a block of 1).  match_masks[q]
+  /// must hold mask_words() words and is fully overwritten; stats[q] is
+  /// reset.  Per-query results are independent of block composition.
+  ///
+  /// full_match_block: single-step full match (TcamArray::search
+  /// semantics: invalid rows never match); sets bit (r & 63) of
+  /// match_masks[q][r >> 6] per matching row; stats are single-step (every
+  /// row evaluates fully: step2_evaluated = rows, no step-1 misses).
+  /// two_step_match_block: two-step early-terminating match, bit-exact vs
+  /// arch::two_step_search (match flags and SearchStats); requires an even
+  /// word length.  The tier-less overloads use active_kernel_tier().
   void full_match_block(const PackedQuery* const* queries, int nq,
                         std::uint64_t* const* match_masks,
                         arch::SearchStats* stats) const;
@@ -201,8 +181,8 @@ class PackedShard {
                             std::uint64_t* const* match_masks,
                             arch::SearchStats* stats, KernelTier tier) const;
 
-  /// Convenience wrappers mirroring the behavioral API (used by the
-  /// golden-equivalence tests).
+  /// One-lane convenience wrappers mirroring the behavioral API (used by
+  /// the golden-equivalence tests).
   std::vector<bool> search(const arch::BitWord& query) const;
   arch::ScheduledSearchResult two_step_search(const arch::BitWord& query) const;
 

@@ -13,9 +13,9 @@
 // stripped by the valid mask, exactly like erased rows.
 //
 // Statistics are computed from the per-64-row-block bitmasks with
-// popcounts and are bit-exact against the scalar tier: the scalar loop's
-// early termination changes how much work a row costs, never the
-// mismatch outcome, so per-block popcount accounting reproduces the
+// popcounts and are bit-exact against the scalar tier and the behavioral
+// references: early termination changes how much work a row costs, never
+// the mismatch outcome, so per-block popcount accounting reproduces the
 // per-row counters exactly (enforced by kernel_differential_test).
 #include "engine/packed_kernel.hpp"
 
@@ -40,100 +40,29 @@ inline std::uint64_t zero_lanes(__m256i acc) {
       _mm256_movemask_pd(_mm256_castsi256_pd(eq)));
 }
 
-/// True when every lane of the accumulated mismatch word is nonzero —
-/// all 4 rows of the group have already mismatched, so the remaining
-/// query words cannot change the outcome.  This is the vector analogue
-/// of the scalar tier's per-row early termination and only affects how
-/// much work a group costs, never the match bits (acc can only grow).
-inline bool all_lanes_mismatch(__m256i acc) { return zero_lanes(acc) == 0; }
-
-}  // namespace
-
-arch::SearchStats full_match_avx2(const ShardView& s,
-                                  const std::uint64_t* query,
-                                  std::uint64_t* match_mask) {
-  arch::SearchStats stats;
-  stats.rows = s.rows;
-  stats.step2_evaluated = s.rows;  // single-step accounting
-  const std::size_t pad = static_cast<std::size_t>(s.rows_pad);
-  const int blocks = s.rows_pad / 64;
-  for (int b = 0; b < blocks; ++b) {
-    const std::size_t r0 = static_cast<std::size_t>(b) * 64;
-    std::uint64_t ok_bits = 0;
-    for (int g = 0; g < 16; ++g) {
-      const std::size_t r = r0 + static_cast<std::size_t>(g) * 4;
-      __m256i acc = _mm256_setzero_si256();
-      for (int w = 0; w < s.wpr; ++w) {
-        const std::size_t at = static_cast<std::size_t>(w) * pad + r;
-        const __m256i q = _mm256_set1_epi64x(
-            static_cast<long long>(query[w]));
-        const __m256i c = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(s.care + at));
-        const __m256i v = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(s.value + at));
-        acc = _mm256_or_si256(acc,
-                              _mm256_and_si256(c, _mm256_xor_si256(v, q)));
-        if (w + 1 < s.wpr && all_lanes_mismatch(acc)) break;
-      }
-      ok_bits |= zero_lanes(acc) << (g * 4);
-    }
-    const std::uint64_t match = ok_bits & s.valid[static_cast<std::size_t>(b)];
-    match_mask[static_cast<std::size_t>(b)] = match;
-    stats.matches += std::popcount(match);
+/// True when every lane of every one of the NQ accumulated mismatch words
+/// is nonzero — all 4 rows of the group have already mismatched every
+/// query, so the remaining words cannot change the outcome.  This is the
+/// vector analogue of the scalar tier's per-row early termination and
+/// only affects how much work a group costs, never the match bits (acc
+/// can only grow).
+template <int NQ>
+inline bool all_lanes_mismatch(const __m256i* acc) {
+  __m256i any_zero = _mm256_cmpeq_epi64(acc[0], _mm256_setzero_si256());
+  for (int q = 1; q < NQ; ++q) {
+    any_zero = _mm256_or_si256(
+        any_zero, _mm256_cmpeq_epi64(acc[q], _mm256_setzero_si256()));
   }
-  return stats;
+  return _mm256_movemask_pd(_mm256_castsi256_pd(any_zero)) == 0;
 }
 
-arch::SearchStats two_step_match_avx2(const ShardView& s,
-                                      const std::uint64_t* query,
-                                      std::uint64_t* match_mask) {
-  arch::SearchStats stats;
-  stats.rows = s.rows;
-  const std::size_t pad = static_cast<std::size_t>(s.rows_pad);
-  const int blocks = s.rows_pad / 64;
-  const __m256i even = _mm256_set1_epi64x(static_cast<long long>(kEvenDigits));
-  const __m256i odd = _mm256_set1_epi64x(static_cast<long long>(kOddDigits));
-  for (int b = 0; b < blocks; ++b) {
-    const std::size_t r0 = static_cast<std::size_t>(b) * 64;
-    std::uint64_t step1_ok = 0;
-    std::uint64_t step2_ok = 0;
-    for (int g = 0; g < 16; ++g) {
-      const std::size_t r = r0 + static_cast<std::size_t>(g) * 4;
-      __m256i acc_even = _mm256_setzero_si256();
-      __m256i acc_odd = _mm256_setzero_si256();
-      for (int w = 0; w < s.wpr; ++w) {
-        const std::size_t at = static_cast<std::size_t>(w) * pad + r;
-        const __m256i q = _mm256_set1_epi64x(
-            static_cast<long long>(query[w]));
-        const __m256i c = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(s.care + at));
-        const __m256i v = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(s.value + at));
-        const __m256i mis = _mm256_and_si256(c, _mm256_xor_si256(v, q));
-        acc_even = _mm256_or_si256(acc_even, _mm256_and_si256(mis, even));
-        acc_odd = _mm256_or_si256(acc_odd, _mm256_and_si256(mis, odd));
-        // All 4 rows already fail step 1: their step-2 bits are masked
-        // off by `alive` below, so the group's outcome is settled.
-        if (w + 1 < s.wpr && all_lanes_mismatch(acc_even)) break;
-      }
-      step1_ok |= zero_lanes(acc_even) << (g * 4);
-      step2_ok |= zero_lanes(acc_odd) << (g * 4);
-    }
-    // Invalid (and padded) rows miss in step 1, like the scalar tier.
-    const std::uint64_t valid = s.valid[static_cast<std::size_t>(b)];
-    const std::uint64_t alive = step1_ok & valid;
-    const int real_rows = s.rows - b * 64 < 64 ? s.rows - b * 64 : 64;
-    const int alive_count = std::popcount(alive);
-    stats.step1_misses += real_rows - alive_count;
-    stats.step2_evaluated += alive_count;
-    const std::uint64_t match = alive & step2_ok;
-    match_mask[static_cast<std::size_t>(b)] = match;
-    stats.matches += std::popcount(match);
-  }
-  return stats;
+/// Same test restricted to the bits under `mask` (two-step: step 1).
+template <int NQ>
+inline bool all_lanes_mismatch(const __m256i* acc, __m256i mask) {
+  __m256i m[NQ];
+  for (int q = 0; q < NQ; ++q) m[q] = _mm256_and_si256(acc[q], mask);
+  return all_lanes_mismatch<NQ>(m);
 }
-
-namespace {
 
 // Query-blocked tiers: one pass over the planar words per 4-row vector
 // group, the shared care/value loads reused by all NQ queries.  A single
@@ -142,7 +71,9 @@ namespace {
 // the step-1 / step-2 zero tests read the even / odd halves of the same
 // accumulator.  NQ is a template parameter so `acc` unrolls into NQ ymm
 // registers (NQ <= kMaxQueryBlock = 8 accumulators + care/value/broadcast
-// temporaries fit the 16 available).
+// temporaries fit the 16 available).  The multi-word paths copy the plane
+// and lane pointers into locals, as the scalar tier does, so they are not
+// reloaded for every 4-row group.
 template <int NQ>
 void full_match_block_avx2_impl(const ShardView& s,
                                 const std::uint64_t* const* queries,
@@ -188,6 +119,11 @@ void full_match_block_avx2_impl(const ShardView& s,
     }
     return;
   }
+  const int wpr = s.wpr;
+  const std::uint64_t* const care = s.care;
+  const std::uint64_t* const value = s.value;
+  const std::uint64_t* qs[NQ];
+  for (int q = 0; q < NQ; ++q) qs[q] = queries[q];
   for (int b = 0; b < blocks; ++b) {
     const std::size_t r0 = static_cast<std::size_t>(b) * 64;
     std::uint64_t ok_bits[NQ] = {};
@@ -195,18 +131,19 @@ void full_match_block_avx2_impl(const ShardView& s,
       const std::size_t r = r0 + static_cast<std::size_t>(g) * 4;
       __m256i acc[NQ];
       for (int q = 0; q < NQ; ++q) acc[q] = _mm256_setzero_si256();
-      for (int w = 0; w < s.wpr; ++w) {
+      for (int w = 0; w < wpr; ++w) {
         const std::size_t at = static_cast<std::size_t>(w) * pad + r;
         const __m256i c = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(s.care + at));
+            reinterpret_cast<const __m256i*>(care + at));
         const __m256i v = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(s.value + at));
+            reinterpret_cast<const __m256i*>(value + at));
         for (int q = 0; q < NQ; ++q) {
           const __m256i qw = _mm256_set1_epi64x(
-              static_cast<long long>(queries[q][w]));
+              static_cast<long long>(qs[q][w]));
           acc[q] = _mm256_or_si256(
               acc[q], _mm256_and_si256(c, _mm256_xor_si256(v, qw)));
         }
+        if (w + 1 < wpr && all_lanes_mismatch<NQ>(acc)) break;
       }
       for (int q = 0; q < NQ; ++q) {
         ok_bits[q] |= zero_lanes(acc[q]) << (g * 4);
@@ -273,6 +210,11 @@ void two_step_match_block_avx2_impl(const ShardView& s,
     }
     return;
   }
+  const int wpr = s.wpr;
+  const std::uint64_t* const care = s.care;
+  const std::uint64_t* const value = s.value;
+  const std::uint64_t* qs[NQ];
+  for (int q = 0; q < NQ; ++q) qs[q] = queries[q];
   for (int b = 0; b < blocks; ++b) {
     const std::size_t r0 = static_cast<std::size_t>(b) * 64;
     std::uint64_t step1_ok[NQ] = {};
@@ -281,21 +223,26 @@ void two_step_match_block_avx2_impl(const ShardView& s,
       const std::size_t r = r0 + static_cast<std::size_t>(g) * 4;
       __m256i acc[NQ];
       for (int q = 0; q < NQ; ++q) acc[q] = _mm256_setzero_si256();
-      for (int w = 0; w < s.wpr; ++w) {
+      for (int w = 0; w < wpr; ++w) {
         const std::size_t at = static_cast<std::size_t>(w) * pad + r;
         const __m256i c = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(s.care + at));
+            reinterpret_cast<const __m256i*>(care + at));
         const __m256i v = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(s.value + at));
+            reinterpret_cast<const __m256i*>(value + at));
         for (int q = 0; q < NQ; ++q) {
           const __m256i qw = _mm256_set1_epi64x(
-              static_cast<long long>(queries[q][w]));
+              static_cast<long long>(qs[q][w]));
           acc[q] = _mm256_or_si256(
               acc[q], _mm256_and_si256(c, _mm256_xor_si256(v, qw)));
         }
+        // Every query already fails step 1 on all 4 rows: their step-2
+        // bits are masked off by `alive` below, so the outcome is settled.
+        if (w + 1 < wpr && all_lanes_mismatch<NQ>(acc, even)) break;
       }
       for (int q = 0; q < NQ; ++q) {
-        step1_ok[q] |= zero_lanes(_mm256_and_si256(acc[q], even)) << (g * 4);
+        const std::uint64_t s1 = zero_lanes(_mm256_and_si256(acc[q], even));
+        if (s1 == 0) continue;  // all 4 rows miss in step 1
+        step1_ok[q] |= s1 << (g * 4);
         step2_ok[q] |= zero_lanes(_mm256_and_si256(acc[q], odd)) << (g * 4);
       }
     }

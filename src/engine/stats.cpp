@@ -53,7 +53,6 @@ std::string stats_snapshot_json(const SearchEngine& engine,
   out += ", \"queue_capacity\": " + u64(engine.queue_capacity());
   out += ", \"queue_high_watermark\": " + u64(engine.queue_high_watermark());
   out += ", \"in_flight\": " + u64(engine.in_flight());
-  out += ", \"mat_groups\": " + std::to_string(engine.mat_groups());
   out +=
       ", \"dispatch_threads\": " + std::to_string(engine.dispatch_threads());
   out += ", \"query_block\": " + std::to_string(engine.query_block());

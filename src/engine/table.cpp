@@ -118,7 +118,7 @@ void TcamTable::write_slot(const Slot& slot, const arch::TernaryWord& entry) {
   last_write_phases_ = static_cast<int>(plan.phases.size());
   write_pulses_ += last_write_phases_;
   // 2FeFET designs switch every cell regardless of data; the 1.5T1Fe plans
-  // charge only switching cells (same policy as TcamController::update).
+  // charge only switching cells.
   const int cells =
       two_step_ ? plan.total_switching_cells() : config_.cols;
   energy_[static_cast<std::size_t>(slot.mat)].on_write(cells);
@@ -462,82 +462,11 @@ void TcamTable::scan_hits(std::size_t mat, const std::uint64_t* mask,
   }
 }
 
-void merge_match(TableMatch& into, const TableMatch& part) {
-  into.stats.rows += part.stats.rows;
-  into.stats.step1_misses += part.stats.step1_misses;
-  into.stats.step2_evaluated += part.stats.step2_evaluated;
-  into.stats.matches += part.stats.matches;
-  if (into.per_mat.size() < part.per_mat.size()) {
-    into.per_mat.resize(part.per_mat.size());
-  }
-  for (std::size_t m = 0; m < part.per_mat.size(); ++m) {
-    into.per_mat[m].rows += part.per_mat[m].rows;
-    into.per_mat[m].step1_misses += part.per_mat[m].step1_misses;
-    into.per_mat[m].step2_evaluated += part.per_mat[m].step2_evaluated;
-    into.per_mat[m].matches += part.per_mat[m].matches;
-  }
-  if (part.hit &&
-      (!into.hit || part.priority < into.priority ||
-       (part.priority == into.priority && part.entry < into.entry))) {
-    into.hit = true;
-    into.entry = part.entry;
-    into.priority = part.priority;
-  }
-}
-
-void TcamTable::match(const arch::BitWord& query, MatchScratch& scratch,
+void TcamTable::match(const arch::BitWord& query, BlockMatchScratch& scratch,
                       TableMatch& out) const {
-  match_mats(query, 0, config_.mats, scratch, out);
-}
-
-void TcamTable::match_mats(const arch::BitWord& query, int mat_begin,
-                           int mat_end, MatchScratch& scratch,
-                           TableMatch& out) const {
-  scratch.query.repack(query);
-  match_mats(scratch.query, mat_begin, mat_end, scratch, out);
-}
-
-void TcamTable::match_mats(const PackedQuery& query, int mat_begin,
-                           int mat_end, MatchScratch& scratch,
-                           TableMatch& out) const {
-  if (mat_begin < 0 || mat_end > config_.mats || mat_begin > mat_end) {
-    throw std::out_of_range("mat range out of range");
-  }
-  out.hit = false;
-  out.entry = kInvalidEntry;
-  out.priority = 0;
-  out.stats = arch::SearchStats{};
-  out.per_mat.assign(static_cast<std::size_t>(config_.mats),
-                     arch::SearchStats{});
-
-  long long skipped = 0;
-  for (int m = mat_begin; m < mat_end; ++m) {
-    if (config_.mat_skip && mat_skips(static_cast<std::size_t>(m), query)) {
-      const arch::SearchStats s = skipped_stats();
-      out.per_mat[static_cast<std::size_t>(m)] = s;
-      out.stats.rows += s.rows;
-      out.stats.step1_misses += s.step1_misses;
-      out.stats.step2_evaluated += s.step2_evaluated;
-      ++skipped;
-      continue;
-    }
-    const auto& shard = shards_[static_cast<std::size_t>(m)];
-    const arch::SearchStats s =
-        two_step_ ? shard.two_step_match(query, scratch.mask)
-                  : shard.full_match(query, scratch.mask);
-    out.per_mat[static_cast<std::size_t>(m)] = s;
-    out.stats.rows += s.rows;
-    out.stats.step1_misses += s.step1_misses;
-    out.stats.step2_evaluated += s.step2_evaluated;
-    out.stats.matches += s.matches;
-    // Priority scan over this shard's hits: lowest (priority, id) wins.
-    scan_hits(static_cast<std::size_t>(m), scratch.mask.data(),
-              scratch.mask.size(), out);
-  }
-  mats_considered_.fetch_add(mat_end - mat_begin, std::memory_order_relaxed);
-  if (skipped != 0) {
-    mats_skipped_.fetch_add(skipped, std::memory_order_relaxed);
-  }
+  const arch::BitWord* queries[1] = {&query};
+  TableMatch* outs[1] = {&out};
+  match_mats_block(queries, 1, 0, config_.mats, scratch, outs);
 }
 
 void TcamTable::match_mats_block(const arch::BitWord* const* queries, int nq,
@@ -643,40 +572,6 @@ void TcamTable::match_mats_block(const PackedQuery* const* queries, int nq,
   if (skipped != 0) {
     mats_skipped_.fetch_add(skipped, std::memory_order_relaxed);
   }
-}
-
-void merge_nearest(NearestMatch& into, const NearestMatch& part, int k) {
-  into.stats.rows += part.stats.rows;
-  into.stats.step1_misses += part.stats.step1_misses;
-  into.stats.step2_evaluated += part.stats.step2_evaluated;
-  into.stats.matches += part.stats.matches;
-  if (into.per_mat.size() < part.per_mat.size()) {
-    into.per_mat.resize(part.per_mat.size());
-  }
-  for (std::size_t m = 0; m < part.per_mat.size(); ++m) {
-    into.per_mat[m].rows += part.per_mat[m].rows;
-    into.per_mat[m].step1_misses += part.per_mat[m].step1_misses;
-    into.per_mat[m].step2_evaluated += part.per_mat[m].step2_evaluated;
-    into.per_mat[m].matches += part.per_mat[m].matches;
-  }
-  if (part.top.empty()) return;
-  std::vector<NearCandidate> merged;
-  merged.reserve(
-      std::min(into.top.size() + part.top.size(),
-               static_cast<std::size_t>(k)));
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (merged.size() < static_cast<std::size_t>(k) &&
-         (i < into.top.size() || j < part.top.size())) {
-    if (j >= part.top.size() ||
-        (i < into.top.size() &&
-         near_candidate_less(into.top[i], part.top[j]))) {
-      merged.push_back(into.top[i++]);
-    } else {
-      merged.push_back(part.top[j++]);
-    }
-  }
-  into.top = std::move(merged);
 }
 
 bool TcamTable::nearest_mat_skips(std::size_t mat, const PackedQuery& query,
@@ -810,7 +705,7 @@ void TcamTable::account_nearest(const NearestMatch& m) {
 }
 
 TableMatch TcamTable::search(const arch::BitWord& query) {
-  MatchScratch scratch;
+  BlockMatchScratch scratch;
   TableMatch out;
   match(query, scratch, out);
   account_search(out);

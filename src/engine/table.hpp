@@ -11,8 +11,8 @@
 // search broadcast.
 //
 // Accounting reuses the arch layer unchanged: one ArrayEnergyModel and one
-// EnduranceModel per mat, fed the same per-mat SearchStats / switching-cell
-// counts a TcamController would produce.  Matching itself is pure
+// EnduranceModel per mat, fed each mat's SearchStats and the switching-cell
+// counts of the arch write plans.  Matching itself is pure
 // (TcamTable::match is const and thread-safe against other match calls);
 // accounting and mutation are serial — the engine's dispatcher owns them.
 #pragma once
@@ -88,30 +88,18 @@ struct TableMatch {
   std::vector<arch::SearchStats> per_mat;
 };
 
-/// Reusable per-thread buffers for TcamTable::match (query packing + row
-/// bitmask); keeps the broadcast allocation-free on the hot path.
-struct MatchScratch {
-  PackedQuery query;
-  std::vector<std::uint64_t> mask;
-};
-
-/// Reusable per-thread buffers for TcamTable::match_mats_block: one packed
-/// query + row bitmask per block lane.  After the first call every lane's
-/// buffers are warm, so a steady-state blocked broadcast allocates nothing.
+/// Reusable per-thread buffers for TcamTable::match / match_mats_block: one
+/// packed query + row bitmask per block lane.  After the first call every
+/// lane's buffers are warm, so a steady-state broadcast allocates nothing.
 struct BlockMatchScratch {
   std::vector<PackedQuery> queries;
   std::vector<std::vector<std::uint64_t>> masks;
 };
 
-/// Fold a partial (per-mat-group) match into an accumulated one: stats and
-/// per_mat add, the winner resolves by (priority, id).  Associative and
-/// commutative, so group merge order cannot change the result.
-void merge_match(TableMatch& into, const TableMatch& part);
-
 /// One approximate-match candidate.  The global order is (distance,
 /// priority, id) ascending — a strict total order because ids are unique,
-/// which is what makes the top-k merge deterministic at any dispatch
-/// shape.
+/// which is what makes the top-k selection deterministic whatever order
+/// the mats are scanned in.
 struct NearCandidate {
   EntryId entry = kInvalidEntry;
   int priority = 0;
@@ -126,7 +114,7 @@ inline bool near_candidate_less(const NearCandidate& a,
   return a.entry < b.entry;
 }
 
-/// Result of one top-k threshold search (whole table or one mat group).
+/// Result of one top-k threshold search (whole table or a mat range).
 /// `top` is sorted by near_candidate_less and holds at most k candidates;
 /// `stats`/`per_mat` follow the single-step accounting the approx kernels
 /// report (approx_kernel.hpp).
@@ -143,13 +131,6 @@ struct NearestScratch {
   std::vector<std::uint64_t> within;
   std::vector<std::uint16_t> distances;
 };
-
-/// Fold a partial (per-mat-group) nearest result: stats and per_mat add,
-/// the sorted top lists merge and truncate to k.  Associative and
-/// commutative (sorted-merge over a strict total order), so group merge
-/// order cannot change the result — the engine folds groups in fixed
-/// order anyway.
-void merge_nearest(NearestMatch& into, const NearestMatch& part, int k);
 
 /// Physical location of an entry (used by the driver-multiplex model).
 struct EntryLocation {
@@ -222,59 +203,48 @@ class TcamTable {
   WriteCost cost_rewrite(const arch::TernaryWord& next,
                          const arch::TernaryWord& previous) const;
 
-  /// Pure broadcast match: no accounting, const, safe to call from many
+  /// Pure broadcast match of one query over every mat (a one-lane
+  /// match_mats_block): no accounting, const, safe to call from many
   /// threads concurrently (against other match calls only).
-  void match(const arch::BitWord& query, MatchScratch& scratch,
+  void match(const arch::BitWord& query, BlockMatchScratch& scratch,
              TableMatch& out) const;
 
-  /// Partial broadcast over mats [mat_begin, mat_end): the unit of work a
-  /// per-mat-group dispatcher claims.  `out.per_mat` is sized to ALL mats
-  /// with zeros outside the range, so partials from disjoint groups merge
-  /// by plain addition; the winner is this group's best (priority, id) —
-  /// merge_match() folds group winners in any order to the same global
-  /// winner match() reports.  Const and concurrency-safe like match().
-  void match_mats(const arch::BitWord& query, int mat_begin, int mat_end,
-                  MatchScratch& scratch, TableMatch& out) const;
-  /// Pre-packed variant: the caller packed the query once (e.g. per
-  /// engine window) and fans the same PackedQuery out to every mat-group
-  /// task, so the per-task repack disappears from the hot path.
-  void match_mats(const PackedQuery& query, int mat_begin, int mat_end,
-                  MatchScratch& scratch, TableMatch& out) const;
-
-  /// Query-blocked partial broadcast: nq (1..kMaxQueryBlock) queries
-  /// against mats [mat_begin, mat_end) in ONE pass per shard, so each
-  /// planar care/value word loaded from memory serves all nq queries.
-  /// outs[q] receives exactly what match_mats(queries[q], ...) would have
-  /// produced — per-query results never depend on block composition, the
-  /// invariant the engine's block scheduler (and its determinism sweep)
-  /// relies on.  Mats the pruning index proves matchless for a lane are
-  /// skipped for that lane only; survivors form the kernel sub-block.
-  /// Const and concurrency-safe like match().
+  /// Query-blocked broadcast: nq (1..kMaxQueryBlock) queries against mats
+  /// [mat_begin, mat_end) in ONE pass per shard, so each planar care/value
+  /// word loaded from memory serves all nq queries.  outs[q] receives the
+  /// winner over the range by (priority, id), its merged stats, and
+  /// `per_mat` sized to ALL mats with zeros outside the range.  Per-query
+  /// results never depend on block composition — the invariant the
+  /// engine's block scheduler (and its determinism sweep) relies on.  Mats
+  /// the pruning index proves matchless for a lane are skipped for that
+  /// lane only; survivors form the kernel sub-block.  Const and
+  /// concurrency-safe like match().
   void match_mats_block(const arch::BitWord* const* queries, int nq,
                         int mat_begin, int mat_end,
                         BlockMatchScratch& scratch,
                         TableMatch* const* outs) const;
-  /// Pre-packed variant (see the PackedQuery match_mats overload).
+  /// Pre-packed variant: the caller packed the queries once (the engine
+  /// packs each lane once per window), so no repack runs here.
   void match_mats_block(const PackedQuery* const* queries, int nq,
                         int mat_begin, int mat_end,
                         BlockMatchScratch& scratch,
                         TableMatch* const* outs) const;
 
-  /// Partial top-k threshold search over mats [mat_begin, mat_end) — the
-  /// approximate-match analogue of match_mats.  Rows whose digit distance
-  /// (config().digit_bits bits per digit) is <= threshold are candidates;
-  /// the k best by (distance, priority, id) are returned sorted.
-  /// `out.per_mat` is sized to ALL mats with zeros outside the range, so
-  /// disjoint-group partials fold with merge_nearest in any order.  Mats
-  /// the WIDENED pruning proof (see nearest_mat_skips) shows are beyond
-  /// the threshold are skipped with accounting identical to a kernel
-  /// scan, so mat_skip on/off cannot change results or energy.  Const and
-  /// concurrency-safe like match().  Throws std::invalid_argument naming
-  /// `k` / `distance_threshold` when out of range.
+  /// Top-k threshold search over mats [mat_begin, mat_end) — the
+  /// approximate-match analogue of match_mats_block, one query per call.
+  /// Rows whose digit distance (config().digit_bits bits per digit) is <=
+  /// threshold are candidates; the k best by (distance, priority, id) are
+  /// returned sorted.  `out.per_mat` is sized to ALL mats with zeros
+  /// outside the range.  Mats the WIDENED pruning proof (see
+  /// nearest_mat_skips) shows are beyond the threshold are skipped with
+  /// accounting identical to a kernel scan, so mat_skip on/off cannot
+  /// change results or energy.  Const and concurrency-safe like match().
+  /// Throws std::invalid_argument naming `k` / `distance_threshold` when
+  /// out of range.
   void nearest_mats(const arch::BitWord& query, int k, int threshold,
                     int mat_begin, int mat_end, NearestScratch& scratch,
                     NearestMatch& out) const;
-  /// Pre-packed variant (see the PackedQuery match_mats overload).
+  /// Pre-packed variant (see the PackedQuery match_mats_block overload).
   void nearest_mats(const PackedQuery& query, int k, int threshold,
                     int mat_begin, int mat_end, NearestScratch& scratch,
                     NearestMatch& out) const;

@@ -1,10 +1,9 @@
 // Differential suite for the packed approximate-match kernels: scalar and
-// AVX2 tiers (and their query-blocked variants) must reproduce the
-// behavioral arch::approx_search reference bit-exactly — within flags,
-// distances of within-threshold rows, and single-step SearchStats — across
-// digit widths d in {1, 2, 3}, word lengths that straddle the 64-bit word
-// boundary (63/64/65 digits), all-X rows, and every threshold regime
-// (0, 1, whole-row).  Rows past the threshold must report
+// AVX2 tiers must reproduce the behavioral arch::approx_search reference
+// bit-exactly — within flags, distances of within-threshold rows, and
+// single-step SearchStats — across digit widths d in {1, 2, 3}, word
+// lengths that straddle the 64-bit word boundary (63/64/65 digits), all-X
+// rows, and every threshold regime (0, 1, whole-row).  Rows past the threshold must report
 // kDistanceOverflow regardless of where the early exit fired.
 #include <gtest/gtest.h>
 
@@ -165,78 +164,6 @@ TEST(ApproxKernel, ExactDegenerationAtDigitOneThresholdZero) {
           << "trial " << trial << " row " << r;
       if (got) {
         ASSERT_EQ(distances[static_cast<std::size_t>(r)], 0);
-      }
-    }
-  }
-}
-
-TEST(ApproxKernel, BlockedVariantsMatchSingleQueryKernels) {
-  const bool simd = kernel_tier_available(KernelTier::kAvx2);
-  for (std::uint64_t trial = 0; trial < 12; ++trial) {
-    auto rng = util::trial_rng(34, trial, 0);
-    for (const int d : {1, 2, 3}) {
-      const int digits = 30 + static_cast<int>(trial);
-      const int cols = digits * d;
-      const int rows = std::uniform_int_distribution<int>(1, 150)(rng);
-      arch::TcamArray a(rows, cols);
-      PackedShard p(rows, cols);
-      build_pair(rng, rows, cols, a, p);
-      const detail::ShardView view = p.view();
-      const int threshold = static_cast<int>(trial % 4);
-      for (int nq = 1; nq <= 8; ++nq) {
-        std::vector<PackedQuery> queries;
-        queries.reserve(static_cast<std::size_t>(nq));
-        for (int q = 0; q < nq; ++q) {
-          queries.push_back(PackedQuery::pack(random_query(rng, cols)));
-        }
-        std::vector<const std::uint64_t*> qptrs;
-        std::vector<std::vector<std::uint64_t>> masks(
-            static_cast<std::size_t>(nq),
-            std::vector<std::uint64_t>(p.mask_words()));
-        std::vector<std::vector<std::uint16_t>> dists(
-            static_cast<std::size_t>(nq),
-            std::vector<std::uint16_t>(
-                static_cast<std::size_t>(p.mask_words()) * 64));
-        std::vector<std::uint64_t*> mptrs;
-        std::vector<std::uint16_t*> dptrs;
-        std::vector<arch::SearchStats> stats(static_cast<std::size_t>(nq));
-        for (int q = 0; q < nq; ++q) {
-          qptrs.push_back(queries[static_cast<std::size_t>(q)].bits.data());
-          mptrs.push_back(masks[static_cast<std::size_t>(q)].data());
-          dptrs.push_back(dists[static_cast<std::size_t>(q)].data());
-        }
-        detail::approx_match_block_scalar(view, qptrs.data(), nq, d,
-                                          threshold, mptrs.data(),
-                                          dptrs.data(), stats.data());
-        for (int q = 0; q < nq; ++q) {
-          std::vector<std::uint64_t> single_mask;
-          std::vector<std::uint16_t> single_dist;
-          const arch::SearchStats single = approx_match(
-              p, queries[static_cast<std::size_t>(q)], d, threshold,
-              single_mask, single_dist, KernelTier::kScalar);
-          ASSERT_EQ(masks[static_cast<std::size_t>(q)], single_mask)
-              << "scalar block nq=" << nq << " q=" << q << " d=" << d;
-          ASSERT_EQ(dists[static_cast<std::size_t>(q)], single_dist);
-          ASSERT_EQ(stats[static_cast<std::size_t>(q)].matches,
-                    single.matches);
-        }
-        if (simd) {
-          std::vector<arch::SearchStats> vstats(
-              static_cast<std::size_t>(nq));
-          detail::approx_match_block_avx2(view, qptrs.data(), nq, d,
-                                          threshold, mptrs.data(),
-                                          dptrs.data(), vstats.data());
-          for (int q = 0; q < nq; ++q) {
-            std::vector<std::uint64_t> single_mask;
-            std::vector<std::uint16_t> single_dist;
-            approx_match(p, queries[static_cast<std::size_t>(q)], d,
-                         threshold, single_mask, single_dist,
-                         KernelTier::kScalar);
-            ASSERT_EQ(masks[static_cast<std::size_t>(q)], single_mask)
-                << "avx2 block nq=" << nq << " q=" << q << " d=" << d;
-            ASSERT_EQ(dists[static_cast<std::size_t>(q)], single_dist);
-          }
-        }
       }
     }
   }

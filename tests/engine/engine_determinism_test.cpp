@@ -1,9 +1,9 @@
 // SearchEngine thread-count-invariance golden tests (same contract as
 // eval/variability_determinism_test): batch results, table contents,
 // energy/endurance totals, and search statistics must be BIT-IDENTICAL
-// for 1, 2, and 8 worker threads at a fixed seed — and, since the
-// per-mat-group dispatcher split, for every combination of dispatcher
-// thread count (1, 2, 8), mat-group count (1, 4), and coalescing window.
+// for 1, 2, and 8 worker threads at a fixed seed — and for every
+// combination of dispatcher thread count (1, 2, 8), coalescing window,
+// and query block size.
 // wall_us (and the windows() telemetry counter) are the only fields
 // outside the contract.
 //
@@ -222,33 +222,28 @@ TEST(EngineDeterminism, ProducerInterleavingDoesNotChangeBatchResults) {
   }
 }
 
-TEST(EngineDeterminism, InvariantAcrossDispatchersGroupsAndCoalescing) {
-  // The tentpole contract: the per-mat-group dispatcher split is a pure
-  // parallelism knob.  Sweep dispatcher threads x mat groups x coalescing
-  // window and require byte-identical outcomes against the fully serial
-  // configuration.
+TEST(EngineDeterminism, InvariantAcrossDispatchersAndCoalescing) {
+  // The phase-A contract: dispatcher threads, coalescing and query
+  // blocking are pure throughput knobs.  Sweep dispatcher threads x
+  // coalescing window x query block and require byte-identical outcomes
+  // against the fully serial, one-lane-per-task configuration.
   EngineOptions serial;
   serial.dispatch_threads = 1;
-  serial.mat_groups = 1;
   serial.coalesce_batches = 1;
-  serial.query_block = 1;  // the single-query scalar reference path
+  serial.query_block = 1;
   const RunOutcome golden = run_workload(serial);
   ASSERT_FALSE(golden.batches.empty());
   for (const int threads : kThreadCounts) {
-    for (const int groups : {1, 4}) {
-      for (const std::size_t coalesce : {std::size_t{1}, std::size_t{4}}) {
-        for (const int qblock : {1, 5, 8}) {
-          EngineOptions opts;
-          opts.dispatch_threads = threads;
-          opts.mat_groups = groups;
-          opts.coalesce_batches = coalesce;
-          opts.query_block = qblock;
-          SCOPED_TRACE("dispatchers=" + std::to_string(threads) +
-                       " groups=" + std::to_string(groups) +
-                       " coalesce=" + std::to_string(coalesce) +
-                       " query_block=" + std::to_string(qblock));
-          expect_identical(run_workload(opts), golden, threads);
-        }
+    for (const std::size_t coalesce : {std::size_t{1}, std::size_t{4}}) {
+      for (const int qblock : {1, 5, 8}) {
+        EngineOptions opts;
+        opts.dispatch_threads = threads;
+        opts.coalesce_batches = coalesce;
+        opts.query_block = qblock;
+        SCOPED_TRACE("dispatchers=" + std::to_string(threads) +
+                     " coalesce=" + std::to_string(coalesce) +
+                     " query_block=" + std::to_string(qblock));
+        expect_identical(run_workload(opts), golden, threads);
       }
     }
   }
@@ -269,12 +264,6 @@ TEST(EngineDeterminism, EngineOptionsValidation) {
   opts.queue_capacity = 0;
   expect_throws(opts, "queue_capacity");
   opts = {};
-  opts.mat_groups = 0;
-  expect_throws(opts, "mat_groups");
-  opts = {};
-  opts.mat_groups = -3;
-  expect_throws(opts, "mat_groups");
-  opts = {};
   opts.dispatch_threads = -1;
   expect_throws(opts, "dispatch_threads");
   opts = {};
@@ -286,14 +275,15 @@ TEST(EngineDeterminism, EngineOptionsValidation) {
   opts = {};
   opts.query_block = kMaxQueryBlock + 1;
   expect_throws(opts, "query_block");
-  // The documented escape hatches stay valid: 0 dispatch threads (pool
-  // auto-resolve) and a mat_groups above mats (clamped down).
+  // The documented escape hatch stays valid: 0 dispatch threads (pool
+  // auto-resolve); explicit counts report as given.
   opts = {};
   opts.dispatch_threads = 0;
-  opts.mat_groups = 64;
   SearchEngine ok(table, opts);
-  EXPECT_EQ(ok.mat_groups(), test_config().mats);
   EXPECT_EQ(ok.query_block(), 8);
+  opts.dispatch_threads = 2;
+  SearchEngine two(table, opts);
+  EXPECT_EQ(two.dispatch_threads(), 2);
 }
 
 TEST(EngineDeterminism, DispatchThreadsZeroFollowsParallelPool) {
@@ -302,38 +292,23 @@ TEST(EngineDeterminism, DispatchThreadsZeroFollowsParallelPool) {
   // split too.  Results must still match the serial golden.
   EngineOptions serial;
   serial.dispatch_threads = 1;
-  serial.mat_groups = 1;
   serial.coalesce_batches = 1;
   const RunOutcome golden = run_workload(serial);
   ThreadSweep sweep;
   sweep.check([&](int threads) {
-    EngineOptions opts;
-    opts.mat_groups = 4;  // dispatch_threads stays 0 (pool-resolved)
-    expect_identical(run_workload(opts), golden, threads);
+    // dispatch_threads stays 0 (pool-resolved).
+    expect_identical(run_workload(EngineOptions{}), golden, threads);
   });
-}
-
-TEST(EngineDeterminism, MatGroupsClampAndReporting) {
-  TcamTable table(test_config());
-  EngineOptions opts;
-  opts.mat_groups = 64;  // more groups than mats: clamps to mats
-  opts.dispatch_threads = 2;
-  SearchEngine engine(table, opts);
-  EXPECT_EQ(engine.mat_groups(), test_config().mats);
-  EXPECT_EQ(engine.dispatch_threads(), 2);
-  const auto res = engine.execute({make_search(arch::BitWord(16, 0))});
-  EXPECT_EQ(res.results.size(), 1u);
-  EXPECT_GE(engine.windows(), 1u);
 }
 
 TEST(EngineDeterminism, StressConcurrentCompilerUpdatesOldNewOrShadow) {
   // TSan-filtered stress: searcher threads hammer a multi-dispatcher
-  // engine (8 dispatchers x 4 mat groups, small queue to force coalescing
-  // and backpressure) while the main thread applies a compiler update
-  // plan.  Every observed result must be the OLD winner, the NEW winner,
-  // or a newly inserted entry still at its shadow priority — the same
+  // engine (8 dispatchers, small queue to force coalescing and
+  // backpressure) while the main thread applies a compiler update plan.
+  // Every observed result must be the OLD winner, the NEW winner, or a
+  // newly inserted entry still at its shadow priority — the same
   // acceptance as the make-before-break applier tests, now crossing the
-  // fan-out/merge machinery.
+  // phase-A fan-out.
   namespace cc = fetcam::compiler;
   TraceSpec spec = test_spec();
   spec.rules = 48;
@@ -357,7 +332,6 @@ TEST(EngineDeterminism, StressConcurrentCompilerUpdatesOldNewOrShadow) {
   EngineOptions opts;
   opts.queue_capacity = 2;
   opts.dispatch_threads = 8;
-  opts.mat_groups = 4;
   opts.coalesce_batches = 3;
   SearchEngine eng(table, opts);
   const cc::UpdatePlan planA = cc::plan_update({}, setA, table);
@@ -500,6 +474,7 @@ TEST(EngineDeterminism, TelemetryCountsRequests) {
   EXPECT_EQ(engine.requests(), 3u);
   EXPECT_EQ(engine.searches(), 2u);
   EXPECT_EQ(engine.writes(), 1u);
+  EXPECT_GE(engine.windows(), 1u);
   EXPECT_GT(engine.model_time_s(), 0.0);
   EXPECT_GT(res.write_cycles, 0) << "the update costs write cycles";
   EXPECT_GT(res.model_latency_s, 0.0);

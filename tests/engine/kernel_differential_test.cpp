@@ -1,11 +1,14 @@
 // Differential / property test layer for the match kernel tiers.
 //
 // Thousands of counter-keyed randomized cases (reproducible from the seed
-// baked into each trial key) drive the scalar-packed kernel, the SIMD
-// kernel (when the build/CPU has it), and the behavioral references
+// baked into each trial key) drive the scalar-packed kernels, the SIMD
+// kernels (when the build/CPU has them), and the behavioral references
 // (TcamArray::search, arch::two_step_search) over the same tables and
-// queries.  Every case asserts BIT-EXACT agreement per lane — match flags
-// row by row, mask padding, and the full SearchStats counters — across:
+// queries.  Queries run through the query-blocked kernels — the only
+// exact-match kernels — at every block size 1..kMaxQueryBlock, and every
+// lane of every tier is compared DIRECTLY against the references: match
+// flags row by row, mask padding, and the full SearchStats counters,
+// across:
 //
 //   * widths spanning the word boundaries (1, 7, 63, 64, 65, 128, 130),
 //   * row counts spanning the 64-row block boundaries (1, 3, 64, 65, 200),
@@ -14,13 +17,15 @@
 //   * query styles: random, all-zeros, all-ones, exact row images, and
 //     single-bit perturbations of a stored row.
 //
-// The SIMD tier has no early termination; the scalar tier does.  These
-// tests are what pins the claim that early-out changes only cost, never
-// any observable outcome.
+// Both tiers stop reading a row group's words once every lane of the block
+// has mismatched it.  These tests are what pins the claim that early-out
+// and block composition change only cost, never any observable outcome.
 #include <gtest/gtest.h>
 
-#include <bit>
+#include <algorithm>
 #include <random>
+#include <string>
+#include <vector>
 
 #include "arch/behavioral_array.hpp"
 #include "arch/search_scheduler.hpp"
@@ -155,8 +160,74 @@ struct TierGuard {
   ~TierGuard() { clear_kernel_tier_override(); }
 };
 
+/// One block of queries (1..kMaxQueryBlock lanes) through both kernels of
+/// every available tier, each lane checked against the behavioral
+/// references: flags row by row, mask padding, and the full SearchStats
+/// (single-step for full match: every row evaluates, no step-1 misses).
+/// Masks start as all-ones, so a kernel that fails to overwrite a word
+/// shows up as a padding or flag mismatch.
+void expect_block_matches_reference(const arch::TcamArray& array,
+                                    const PackedShard& shard,
+                                    const std::vector<arch::BitWord>& queries,
+                                    std::uint64_t key) {
+  const int nq = static_cast<int>(queries.size());
+  const int rows = array.rows();
+  const bool two_step = array.cols() % 2 == 0;
+  std::vector<PackedQuery> packed(queries.size());
+  std::vector<std::vector<bool>> full_ref(queries.size());
+  std::vector<arch::ScheduledSearchResult> two_ref(queries.size());
+  const PackedQuery* qp[kMaxQueryBlock];
+  for (int q = 0; q < nq; ++q) {
+    const std::size_t i = static_cast<std::size_t>(q);
+    packed[i].repack(queries[i]);
+    qp[q] = &packed[i];
+    full_ref[i] = array.search(queries[i]);
+    if (two_step) two_ref[i] = arch::two_step_search(array, queries[i]);
+  }
+  std::vector<std::vector<std::uint64_t>> masks(queries.size());
+  std::uint64_t* mp[kMaxQueryBlock];
+  arch::SearchStats stats[kMaxQueryBlock];
+  const auto reset_masks = [&] {
+    for (int q = 0; q < nq; ++q) {
+      masks[static_cast<std::size_t>(q)].assign(shard.mask_words(), ~0ULL);
+      mp[q] = masks[static_cast<std::size_t>(q)].data();
+    }
+  };
+  for (const KernelTier tier : {KernelTier::kScalar, KernelTier::kAvx2}) {
+    if (!kernel_tier_available(tier)) continue;
+    reset_masks();
+    shard.full_match_block(qp, nq, mp, stats, tier);
+    for (int q = 0; q < nq; ++q) {
+      const std::size_t i = static_cast<std::size_t>(q);
+      const std::string what = std::string("full/") + kernel_tier_name(tier) +
+                               " lane " + std::to_string(q) + "/" +
+                               std::to_string(nq);
+      expect_mask_eq(full_ref[i], masks[i], rows, what.c_str(), key);
+      arch::SearchStats want;
+      want.rows = rows;
+      want.step2_evaluated = rows;
+      want.matches = static_cast<int>(
+          std::count(full_ref[i].begin(), full_ref[i].end(), true));
+      expect_stats_eq(want, stats[q], what.c_str(), key);
+    }
+    if (!two_step) continue;
+    reset_masks();
+    shard.two_step_match_block(qp, nq, mp, stats, tier);
+    for (int q = 0; q < nq; ++q) {
+      const std::size_t i = static_cast<std::size_t>(q);
+      const std::string what = std::string("two-step/") +
+                               kernel_tier_name(tier) + " lane " +
+                               std::to_string(q) + "/" + std::to_string(nq);
+      expect_mask_eq(two_ref[i].matches, masks[i], rows, what.c_str(), key);
+      expect_stats_eq(two_ref[i].stats, stats[q], what.c_str(), key);
+    }
+  }
+}
+
+/// Randomized sweep: each table's query stream is cut into consecutive
+/// blocks whose size cycles 1, 2, ..., kMaxQueryBlock, 1, ... so every
+/// block size meets every table shape.
 void run_differential(int rows, int cols, int tables, int queries) {
-  const bool simd = kernel_tier_available(KernelTier::kAvx2);
   for (int t = 0; t < tables; ++t) {
     const std::uint64_t table_key = util::trial_key(
         kSeed, static_cast<std::uint64_t>(rows) * 1000003u +
@@ -167,44 +238,16 @@ void run_differential(int rows, int cols, int tables, int queries) {
     PackedShard shard(rows, cols);
     build_pair(rng, rows, cols, array, shard);
 
-    std::vector<std::uint64_t> scalar_mask;
-    std::vector<std::uint64_t> simd_mask;
+    std::vector<arch::BitWord> block;
+    std::size_t block_size = 1;
     for (int qi = 0; qi < queries; ++qi) {
-      const std::uint64_t key = table_key + static_cast<std::uint64_t>(qi);
-      const arch::BitWord query = make_query(rng, qi, cols, array);
-      const PackedQuery packed = PackedQuery::pack(query);
-      const std::vector<bool> ref = array.search(query);
-
-      // Full (single-step) match: every tier vs the behavioral reference.
-      const arch::SearchStats scalar_stats =
-          shard.full_match(packed, scalar_mask, KernelTier::kScalar);
-      expect_mask_eq(ref, scalar_mask, rows, "full/scalar", key);
-      EXPECT_EQ(scalar_stats.rows, rows);
-      if (simd) {
-        const arch::SearchStats simd_stats =
-            shard.full_match(packed, simd_mask, KernelTier::kAvx2);
-        ASSERT_EQ(scalar_mask, simd_mask) << "full mask key=" << key;
-        expect_stats_eq(scalar_stats, simd_stats, "full stats", key);
-      }
-
-      // Two-step match (even widths only): tiers vs arch::two_step_search,
-      // stats included — the paper's step-1/step-2 accounting must be
-      // identical in every implementation.
-      if (cols % 2 == 0) {
-        const arch::ScheduledSearchResult two_ref =
-            arch::two_step_search(array, query);
-        const arch::SearchStats two_scalar =
-            shard.two_step_match(packed, scalar_mask, KernelTier::kScalar);
-        expect_mask_eq(two_ref.matches, scalar_mask, rows, "two/scalar", key);
-        expect_stats_eq(two_ref.stats, two_scalar, "two/scalar stats", key);
-        if (simd) {
-          const arch::SearchStats two_simd =
-              shard.two_step_match(packed, simd_mask, KernelTier::kAvx2);
-          ASSERT_EQ(scalar_mask, simd_mask) << "two-step mask key=" << key;
-          expect_stats_eq(two_ref.stats, two_simd, "two/simd stats", key);
-        }
-      }
+      block.push_back(make_query(rng, qi, cols, array));
+      if (block.size() < block_size && qi + 1 < queries) continue;
+      expect_block_matches_reference(
+          array, shard, block, table_key + static_cast<std::uint64_t>(qi));
       if (::testing::Test::HasFailure()) return;  // one bad case is enough
+      block.clear();
+      block_size = block_size % kMaxQueryBlock + 1;
     }
   }
 }
@@ -280,24 +323,30 @@ TEST(KernelDifferential, DefaultPathFollowsOverride) {
   const arch::BitWord query = make_query(rng, 0, 64, array);
   const PackedQuery packed = PackedQuery::pack(query);
 
-  std::vector<std::uint64_t> forced, defaulted;
+  const PackedQuery* qp[1] = {&packed};
+  std::vector<std::uint64_t> forced(shard.mask_words());
+  std::vector<std::uint64_t> defaulted(shard.mask_words());
+  std::uint64_t* forced_mp[1] = {forced.data()};
+  std::uint64_t* defaulted_mp[1] = {defaulted.data()};
   for (const KernelTier tier : {KernelTier::kScalar, KernelTier::kAvx2}) {
     if (!kernel_tier_available(tier)) continue;
     set_kernel_tier_override(tier);
-    const arch::SearchStats a = shard.two_step_match(packed, forced, tier);
-    const arch::SearchStats b = shard.two_step_match(packed, defaulted);
+    arch::SearchStats a;
+    arch::SearchStats b;
+    shard.two_step_match_block(qp, 1, forced_mp, &a, tier);
+    shard.two_step_match_block(qp, 1, defaulted_mp, &b);
     EXPECT_EQ(forced, defaulted) << kernel_tier_name(tier);
     expect_stats_eq(a, b, kernel_tier_name(tier), 4242);
   }
 }
 
-/// Blocked-vs-single differential: for every block size B, every lane of
-/// the blocked kernels must reproduce the single-query kernel's mask AND
-/// stats bit for bit — on every tier.  Lane q's result may never depend
-/// on its neighbors, which is the property the engine's determinism
-/// contract (results invariant under query_block) stands on.
+/// Block-size differential: for every block size B = 1..kMaxQueryBlock,
+/// every lane of the blocked kernels must reproduce the single-query
+/// behavioral references' mask AND stats bit for bit — on every tier.
+/// Lane q's result may never depend on its neighbors, which is the
+/// property the engine's determinism contract (results invariant under
+/// query_block) stands on.
 void run_block_differential(int rows, int cols, int tables) {
-  const bool simd = kernel_tier_available(KernelTier::kAvx2);
   for (int t = 0; t < tables; ++t) {
     const std::uint64_t table_key = util::trial_key(
         kSeed, 77000 + static_cast<std::uint64_t>(rows) * 131u +
@@ -307,59 +356,16 @@ void run_block_differential(int rows, int cols, int tables) {
     arch::TcamArray array(rows, cols);
     PackedShard shard(rows, cols);
     build_pair(rng, rows, cols, array, shard);
-    const std::size_t words = shard.mask_words();
 
-    for (const int nq : {1, 2, 3, 4, 5, 7, 8}) {
+    for (int nq = 1; nq <= kMaxQueryBlock; ++nq) {
       // Lanes reuse the single-query styles, including exact-row images.
-      std::vector<PackedQuery> packed(static_cast<std::size_t>(nq));
-      std::vector<arch::SearchStats> single_stats(
-          static_cast<std::size_t>(nq));
-      std::vector<std::vector<std::uint64_t>> single_masks(
-          static_cast<std::size_t>(nq));
-      std::vector<std::vector<std::uint64_t>> block_masks(
-          static_cast<std::size_t>(nq));
-      const PackedQuery* qp[kMaxQueryBlock];
-      std::uint64_t* mp[kMaxQueryBlock];
-      arch::SearchStats block_stats[kMaxQueryBlock];
+      std::vector<arch::BitWord> queries;
       for (int q = 0; q < nq; ++q) {
-        const arch::BitWord query = make_query(rng, q, cols, array);
-        packed[static_cast<std::size_t>(q)].repack(query);
-        block_masks[static_cast<std::size_t>(q)].assign(words, ~0ULL);
-        qp[q] = &packed[static_cast<std::size_t>(q)];
-        mp[q] = block_masks[static_cast<std::size_t>(q)].data();
+        queries.push_back(make_query(rng, q, cols, array));
       }
-      const std::uint64_t key = table_key * 100 + static_cast<std::uint64_t>(nq);
-
-      for (const KernelTier tier : {KernelTier::kScalar, KernelTier::kAvx2}) {
-        if (tier == KernelTier::kAvx2 && !simd) continue;
-        for (int q = 0; q < nq; ++q) {
-          single_stats[static_cast<std::size_t>(q)] = shard.full_match(
-              packed[static_cast<std::size_t>(q)],
-              single_masks[static_cast<std::size_t>(q)], tier);
-        }
-        shard.full_match_block(qp, nq, mp, block_stats, tier);
-        for (int q = 0; q < nq; ++q) {
-          ASSERT_EQ(single_masks[static_cast<std::size_t>(q)],
-                    block_masks[static_cast<std::size_t>(q)])
-              << "full block lane " << q << "/" << nq << " key=" << key;
-          expect_stats_eq(single_stats[static_cast<std::size_t>(q)],
-                          block_stats[q], "full block stats", key);
-        }
-        if (cols % 2 != 0) continue;
-        for (int q = 0; q < nq; ++q) {
-          single_stats[static_cast<std::size_t>(q)] = shard.two_step_match(
-              packed[static_cast<std::size_t>(q)],
-              single_masks[static_cast<std::size_t>(q)], tier);
-        }
-        shard.two_step_match_block(qp, nq, mp, block_stats, tier);
-        for (int q = 0; q < nq; ++q) {
-          ASSERT_EQ(single_masks[static_cast<std::size_t>(q)],
-                    block_masks[static_cast<std::size_t>(q)])
-              << "two-step block lane " << q << "/" << nq << " key=" << key;
-          expect_stats_eq(single_stats[static_cast<std::size_t>(q)],
-                          block_stats[q], "two-step block stats", key);
-        }
-      }
+      expect_block_matches_reference(
+          array, shard, queries,
+          table_key * 100 + static_cast<std::uint64_t>(nq));
       if (::testing::Test::HasFailure()) return;
     }
   }
@@ -382,7 +388,7 @@ TEST(KernelDifferential, BlockedLanesMatchSingleAtRowBoundaries) {
 
 TEST(KernelDifferential, BlockedAllWildcardRows) {
   // Every valid row all-X: every lane must match every valid row, and the
-  // blocked accounting must still agree with the single-query kernels.
+  // blocked accounting must still agree with the behavioral references.
   for (const int rows : {5, 64, 70}) {
     arch::TcamArray array(rows, 64);
     PackedShard shard(rows, 64);

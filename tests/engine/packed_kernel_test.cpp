@@ -131,12 +131,11 @@ TEST(PackedKernel, AllXEntryMatchesEverything) {
 
 TEST(PackedKernel, ZeroRowShardReportsEmptyStats) {
   PackedShard p(0, 8);
-  std::vector<std::uint64_t> mask;
-  const auto stats = p.two_step_match(PackedQuery::pack(arch::BitWord(8, 0)),
-                                      mask);
-  EXPECT_EQ(stats.rows, 0);
-  EXPECT_EQ(stats.step1_miss_rate(), 0.0);
-  EXPECT_TRUE(mask.empty());
+  EXPECT_EQ(p.mask_words(), 0u);
+  const auto res = p.two_step_search(arch::BitWord(8, 0));
+  EXPECT_EQ(res.stats.rows, 0);
+  EXPECT_EQ(res.stats.step1_miss_rate(), 0.0);
+  EXPECT_TRUE(res.matches.empty());
 }
 
 TEST(PackedKernel, RejectsBadShapes) {

@@ -1,7 +1,7 @@
 // Mat-skip pruning index: incremental-vs-rebuilt aggregate equivalence
 // under randomized mutation churn, pruned-vs-unpruned match equality
-// (results AND stats, per mat), and blocked-vs-single table matches over
-// the same churned states.  These are the properties that let the engine
+// (results AND stats, per mat), and multi-lane-vs-one-lane table matches
+// over the same churned states.  These are the properties that let the engine
 // skip a mat's row scan without changing one observable bit:
 //
 //   * after ANY interleaving of insert / erase / update / rewrite_digits /
@@ -10,7 +10,8 @@
 //   * a search against a pruning table returns exactly the TableMatch of
 //     a non-pruning table — including SearchStats and per-mat stats,
 //     because a skip is only taken when its stats are exactly knowable;
-//   * match_mats_block over any lane mix equals per-lane match_mats.
+//   * match_mats_block over any lane mix equals the one-lane match() of
+//     each lane.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -122,7 +123,7 @@ void run_churn(arch::TcamDesign design, std::uint64_t trial) {
     for (int q = 0; q < kMaxQueryBlock; ++q) {
       queries.push_back(random_query(rng, cols));
     }
-    MatchScratch scratch;
+    BlockMatchScratch scratch;
     std::vector<TableMatch> want(queries.size());
     for (std::size_t q = 0; q < queries.size(); ++q) {
       flat.match(queries[q], scratch, want[q]);

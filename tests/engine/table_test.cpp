@@ -147,7 +147,7 @@ TEST(TcamTable, MatchIsPureAndSearchAccounts) {
   EXPECT_GT(t.write_pulses(), 0);
   EXPECT_EQ(t.last_write_phases(), 3) << "1.5T1Fe writes are three-phase";
 
-  MatchScratch scratch;
+  BlockMatchScratch scratch;
   TableMatch m;
   t.match(bits("10110000"), scratch, m);
   EXPECT_TRUE(m.hit);
@@ -157,6 +157,10 @@ TEST(TcamTable, MatchIsPureAndSearchAccounts) {
   t.account_search(m);
   EXPECT_GT(t.total_energy_j(), e_writes);
   EXPECT_EQ(t.search_stats().searches(), 1);
+  t.search(bits("01000000"));  // a miss
+  EXPECT_EQ(t.search_stats().searches(), 2);
+  EXPECT_EQ(t.search_stats().rows_searched(), 32);
+  EXPECT_EQ(t.search_stats().matches(), 1);
   // Per-mat stats must cover every mat's rows exactly once.
   ASSERT_EQ(m.per_mat.size(), 2u);
   EXPECT_EQ(m.per_mat[0].rows + m.per_mat[1].rows, 16);
@@ -170,6 +174,8 @@ TEST(TcamTable, EnduranceTracksPerMatRowWrites) {
   t.update(id, from_string("0101XXXX"));
   const auto loc = *t.locate(id);
   EXPECT_EQ(t.endurance(loc.mat).writes(loc.row), 3u);
+  EXPECT_EQ(t.endurance(loc.mat).hottest_row(), loc.row);
+  EXPECT_GT(t.endurance(loc.mat).wear_fraction(), 0.0);
   EXPECT_EQ(t.endurance(1 - loc.mat).total_writes(), 0u);
 }
 
@@ -206,7 +212,7 @@ TEST(TcamTable, BroadcastMatchesFlatBehavioralReference) {
     refs.push_back({w, p, t.insert(w, p)});
   }
 
-  MatchScratch scratch;
+  BlockMatchScratch scratch;
   TableMatch m;
   for (int q = 0; q < 50; ++q) {
     arch::BitWord query;
@@ -365,6 +371,63 @@ TEST(TcamTable, SingleStepDesignUsesFullMatch) {
   EXPECT_EQ(m.stats.step2_evaluated, m.stats.rows);
   EXPECT_EQ(m.stats.step1_misses, 0);
   EXPECT_EQ(t.last_write_phases(), 1) << "complementary write is one phase";
+}
+
+/// One mat of 4 rows x 8 columns (the smallest legal driver pairing).
+TableConfig one_mat_config(arch::TcamDesign design) {
+  TableConfig cfg;
+  cfg.design = design;
+  cfg.mats = 1;
+  cfg.rows_per_mat = 4;
+  cfg.cols = 8;
+  cfg.subarrays_per_mat = 2;
+  return cfg;
+}
+
+TEST(TcamTable, WritePulsesPerDesign) {
+  TcamTable dg(one_mat_config(arch::TcamDesign::k1p5DgFe));
+  dg.insert(from_string("01X0XXXX"), 0);
+  EXPECT_EQ(dg.write_pulses(), 3) << "1.5T1Fe: three-phase write";
+  TcamTable sg2(one_mat_config(arch::TcamDesign::k2SgFefet));
+  sg2.insert(from_string("01X0XXXX"), 0);
+  EXPECT_EQ(sg2.write_pulses(), 1) << "2FeFET: complementary single phase";
+}
+
+TEST(TcamTable, EarlyTerminatedMissesCostLessThanTwoStepMatches) {
+  // Two-step design: a step-1 miss on every row is charged far less than
+  // every row running both steps.
+  TcamTable t(one_mat_config(arch::TcamDesign::k1p5DgFe));
+  for (int r = 0; r < 4; ++r) t.insert(from_string("11111111"), r);
+  const double e0 = t.total_energy_j();
+  t.search(bits("00000000"));  // every row misses in step 1
+  const double e_miss = t.total_energy_j() - e0;
+  t.search(bits("11111111"));  // every row runs both steps
+  const double e_match = t.total_energy_j() - e0 - e_miss;
+  EXPECT_GT(e_miss, 0.0);
+  EXPECT_GT(e_match, 2.0 * e_miss);
+
+  // Single-step design: a miss and a match cost the same.
+  TcamTable flat(one_mat_config(arch::TcamDesign::k2SgFefet));
+  for (int r = 0; r < 4; ++r) flat.insert(from_string("11111111"), r);
+  const double f0 = flat.total_energy_j();
+  flat.search(bits("00000000"));
+  const double f_miss = flat.total_energy_j() - f0;
+  flat.search(bits("11111111"));
+  const double f_match = flat.total_energy_j() - f0 - f_miss;
+  EXPECT_NEAR(f_miss, f_match, 1e-20);
+}
+
+TEST(TcamTable, OverwriteChargesOnlySwitchingCells) {
+  TcamTable t(one_mat_config(arch::TcamDesign::k1p5DgFe));
+  const auto id = t.insert(from_string("00000000"), 0);
+  const double e0 = t.total_energy_j();
+  // Rewriting the same data: erase switches nothing (already '0'), no
+  // program pulse switches a cell -> near-zero incremental write energy.
+  t.update(id, from_string("00000000"));
+  const double e_same = t.total_energy_j() - e0;
+  t.update(id, from_string("11111111"));
+  const double e_flip = t.total_energy_j() - e0 - e_same;
+  EXPECT_LT(e_same, 0.25 * e_flip);
 }
 
 }  // namespace

@@ -97,7 +97,7 @@ TEST(Workload, MatchRateIsRoughlyHonored) {
   load_rules(table, trace);
 
   int hits = 0;
-  MatchScratch scratch;
+  BlockMatchScratch scratch;
   TableMatch m;
   for (const auto& q : trace.queries) {
     table.match(q, scratch, m);

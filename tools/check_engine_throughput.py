@@ -141,7 +141,6 @@ def check_scale(report: dict, min_qps: float) -> bool:
     for cfg in multicore["configs"]:
         print(
             f"multicore dispatch={cfg.get('dispatch_threads')} "
-            f"groups={cfg.get('mat_groups')} "
             f"coalesce={cfg.get('coalesce_batches')}: "
             f"{cfg.get('qps', 0.0):.0f} qps"
         )
